@@ -1,7 +1,8 @@
 // E14 — robustness under deterministic fault injection (DESIGN.md §12).
 //
-// Drives the HTTP server through FaultyConnection pipes at a seeded
-// fault rate and reports tail latency plus an error budget:
+// Drives the in-memory HTTP driver (net::serve_inline, the same
+// HttpSession the reactor runs) through FaultyConnection pipes at a
+// seeded fault rate and reports tail latency plus an error budget:
 //
 //   BM_FaultyPipeline/<fault_pct>  — per-request service time with
 //       p99_us, error_rate, faults_injected counters (fault delays are
@@ -22,7 +23,7 @@
 
 #include "net/fault.h"
 #include "net/http_client.h"
-#include "net/http_server.h"
+#include "net/http_session.h"
 #include "net/transport.h"
 #include "os/thread_pool.h"
 #include "util/clock.h"
@@ -34,7 +35,7 @@ using w5::net::FaultStats;
 using w5::net::FaultyConnection;
 using w5::net::HttpRequest;
 using w5::net::HttpResponse;
-using w5::net::HttpServer;
+using w5::net::ServerHandler;
 using w5::net::Method;
 
 FaultSchedule::Profile profile_for(int fault_pct) {
@@ -62,7 +63,7 @@ HttpRequest make_request(int i) {
 }
 
 // One request over one faulty pipe; returns true when handled cleanly.
-bool one_request(HttpServer& server, std::uint64_t seed,
+bool one_request(const ServerHandler& handler, std::uint64_t seed,
                  const FaultSchedule::Profile& profile, int i,
                  FaultStats* faults) {
   auto [client, server_end] = w5::net::make_pipe();
@@ -70,14 +71,14 @@ bool one_request(HttpServer& server, std::uint64_t seed,
   FaultyConnection faulty(std::move(server_end),
                           FaultSchedule::seeded(seed, profile),
                           w5::net::no_sleep(), faults);
-  auto handled = server.handle_one(faulty);
-  return handled.ok() && handled.value();
+  auto handled = w5::net::serve_inline(faulty, handler);
+  return handled.ok() && handled.value() > 0;
 }
 
 void BM_FaultyPipeline(benchmark::State& state) {
   const int fault_pct = static_cast<int>(state.range(0));
   const FaultSchedule::Profile profile = profile_for(fault_pct);
-  HttpServer server([](const HttpRequest& request) {
+  const ServerHandler handler([](const HttpRequest& request) {
     return HttpResponse::text(200, "echo:" + request.body);
   });
   FaultStats faults;
@@ -89,7 +90,7 @@ void BM_FaultyPipeline(benchmark::State& state) {
   for (auto _ : state) {
     const w5::util::Micros start = clock.now();
     const bool ok =
-        one_request(server, 0xE14ull + static_cast<std::uint64_t>(i),
+        one_request(handler, 0xE14ull + static_cast<std::uint64_t>(i),
                     profile, i, &faults);
     latencies.push_back(clock.now() - start);
     ok ? ++handled : ++errored;
@@ -114,7 +115,7 @@ void BM_PooledChaos(benchmark::State& state) {
   const FaultSchedule::Profile profile = profile_for(10);
   std::uint64_t hung_workers = 0, served = 0, round = 0;
   for (auto _ : state) {
-    HttpServer server([](const HttpRequest& request) {
+    const ServerHandler handler([](const HttpRequest& request) {
       return HttpResponse::text(200, "echo:" + request.body);
     });
     w5::os::ThreadPool pool(4);
@@ -123,9 +124,9 @@ void BM_PooledChaos(benchmark::State& state) {
     for (int i = 0; i < kConnections; ++i) {
       const std::uint64_t seed =
           (round << 32) + static_cast<std::uint64_t>(i);
-      pool.submit([&server, &done, &profile, seed, i] {
+      pool.submit([&handler, &done, &profile, seed, i] {
         FaultStats faults;
-        (void)one_request(server, seed, profile, i, &faults);
+        (void)one_request(handler, seed, profile, i, &faults);
         done.fetch_add(1);
       });
     }

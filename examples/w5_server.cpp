@@ -16,7 +16,6 @@
 #include "core/gateway.h"
 #include "core/provider.h"
 #include "net/http_client.h"
-#include "net/http_server.h"
 #include "net/tcp.h"
 
 using w5::net::Method;
@@ -39,12 +38,12 @@ int main(int argc, char** argv) {
             << "\n";
 
   if (serve_forever) {
-    // Concurrent serving on the provider's worker pool.
+    // Concurrent serving on the provider's epoll reactor.
     provider.serve(listener);
     return 0;
   }
 
-  // Self-test mode: one request over real sockets, still via the pool.
+  // Self-test mode: one request over real sockets, still via the reactor.
   std::thread server_thread([&] { provider.serve(listener); });
   auto client = w5::net::tcp_connect(listener.port());
   if (!client.ok()) {
@@ -59,8 +58,7 @@ int main(int argc, char** argv) {
   w5::net::HttpClient http_client;
   auto response = http_client.roundtrip(*client.value(), request);
   client.value()->close();
-  listener.close();  // unblocks the accept loop
-  (void)w5::net::tcp_connect(listener.port());  // poke a blocked accept()
+  listener.close();  // the reactor notices and serve() returns
   server_thread.join();
   if (!response.ok()) {
     std::cerr << "self-test failed: " << response.error().code << "\n";

@@ -66,25 +66,18 @@ concurrency)
   run_bench "$build_dir" bench_concurrency "$out"
   annotate_snapshot "$out"
   echo "wrote $out"
-  # Headlines: in-process mixed pipeline, the two TCP serving modes
-  # head-to-head (E12b), and the idle keep-alive CPU sweep (E12c).
+  # Headlines: in-process mixed pipeline, the same mix over loopback
+  # TCP on the reactor (E12b), and the idle keep-alive CPU sweep (E12c).
   python3 - "$out" <<'EOF' 2>/dev/null || true
 import json, sys
 data = json.load(open(sys.argv[1]))
-tcp = {}
 for b in data.get("benchmarks", []):
     name = b.get("name", "")
     if name.startswith(("BM_MixedRequestPipeline", "BM_TcpMixedPipeline")):
         print(f'{name}: {b.get("items_per_second", 0):,.0f} req/s')
-        if name.startswith("BM_TcpMixedPipeline"):
-            tcp[name] = b.get("items_per_second", 0)
     if name.startswith("BM_IdleConnectionCpu"):
         print(f'{name}: {b.get("open_conns", 0):,.0f} idle conns at '
               f'{b.get("cpu_core_pct", 0):.2f}% of a core')
-reactor = tcp.get("BM_TcpMixedPipeline_EventLoop/real_time/threads:8", 0)
-pooled = tcp.get("BM_TcpMixedPipeline_Pooled/real_time/threads:8", 0)
-if reactor and pooled:
-    print(f"reactor vs pooled at 8 clients: {reactor / pooled:.2f}x")
 EOF
   ;;
 

@@ -97,8 +97,8 @@ durability_stage() {
 
 bench_stage() {
   echo "== Bench smoke: concurrency suite -> BENCH_concurrency.json =="
-  # E12/E12b/E12c: in-process scalability, TCP reactor-vs-pooled
-  # head-to-head, and the idle keep-alive CPU sweep. Emits
+  # E12/E12b/E12c: in-process scalability, the mixed pipeline over
+  # loopback TCP on the reactor, and the idle keep-alive CPU sweep. Emits
   # BENCH_concurrency.json at the repo root (timings + the conn_* and
   # cpu_core_pct counters in metrics_snapshot) for cross-commit diffing.
   scripts/bench_json.sh concurrency

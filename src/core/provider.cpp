@@ -4,7 +4,6 @@
 #include "core/statusz.h"
 #include "difc/codec.h"
 #include "net/cookies.h"
-#include "net/http_server.h"
 #include "net/tracing.h"
 #include "util/log.h"
 
@@ -163,24 +162,6 @@ os::ThreadPool& Provider::worker_pool() {
 
 std::size_t Provider::serve(net::TcpListener& listener) {
   os::ThreadPool& pool = worker_pool();
-  // Admission control (DESIGN.md §12): try_submit sheds when the queue is
-  // at max_queued_connections and the server answers 503 + Retry-After
-  // instead of queueing without bound (at accept for the pooled server,
-  // at dispatch for the reactor — same observable behavior).
-  auto handler = [this](const net::HttpRequest& request) {
-    return handle(request);
-  };
-  auto submit = [&pool](std::function<void()> job) {
-    return pool.try_submit(std::move(job));
-  };
-  if (config_.serve_mode == ServeMode::kPooled) {
-    net::PooledHttpServer server(handler, submit, config_.http_limits,
-                                 config_.http_robustness, &server_stats_,
-                                 &conn_stats_);
-    const std::size_t dispatched = server.serve(listener);
-    pool.drain();  // finish in-flight connections before `server` dies
-    return dispatched;
-  }
   net::EventLoopOptions loop_options;
   loop_options.io_threads = config_.io_threads;
   // ---- Reactor telemetry (DESIGN.md §16) ---------------------------------
@@ -266,15 +247,23 @@ std::size_t Provider::serve(net::TcpListener& listener) {
     }
   };
   // Inline dispatch runs handlers on the owning loop (no handoff, no
-  // 503 shed — overload becomes TCP backpressure); pooled dispatch keeps
-  // blocking handlers off the loops and sheds via try_submit above.
-  net::BoundedExecutor dispatch = submit;
-  if (config_.app_dispatch == AppDispatch::kInline)
-    dispatch = [](std::function<void()> job) {
-      job();
-      return true;
+  // 503 shed — overload becomes TCP backpressure). Pooled dispatch keeps
+  // blocking handlers off the loops; admission control (DESIGN.md §12)
+  // is try_submit: when the queue is at max_queued_connections the
+  // request is shed with 503 + Retry-After instead of queueing without
+  // bound.
+  net::BoundedExecutor dispatch = [](std::function<void()> job) {
+    job();
+    return true;
+  };
+  if (config_.app_dispatch == AppDispatch::kPooled)
+    dispatch = [&pool](std::function<void()> job) {
+      return pool.try_submit(std::move(job));
     };
-  net::EventLoopHttpServer server(handler, std::move(dispatch),
+  net::EventLoopHttpServer server([this](const net::HttpRequest& request) {
+                                    return handle(request);
+                                  },
+                                  std::move(dispatch),
                                   config_.http_limits,
                                   config_.http_robustness, loop_options,
                                   &server_stats_, &conn_stats_);

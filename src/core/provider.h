@@ -23,7 +23,7 @@
 #include "net/event_loop_server.h"
 #include "net/http.h"
 #include "net/http_parser.h"
-#include "net/http_server.h"
+#include "net/http_session.h"
 #include "net/tcp.h"
 #include "os/filesystem.h"
 #include "os/kernel.h"
@@ -77,18 +77,7 @@ struct FederatedPage {
 using FederatedSearchFn = std::function<util::Result<FederatedPage>(
     os::Pid pid, const std::string& viewer, const FederatedQuery& query)>;
 
-// How serve() multiplexes TCP clients (DESIGN.md §15). Same handler,
-// same robustness semantics; only the I/O model differs.
-enum class ServeMode : std::uint8_t {
-  // Epoll edge-triggered reactor (net::EventLoopHttpServer): a few I/O
-  // loops multiplex all connections; workers run only application code.
-  kEventLoop,
-  // Worker-per-connection (net::PooledHttpServer): each accepted socket
-  // pins one pool worker for its whole life. The pre-§15 behavior.
-  kPooled,
-};
-
-// Where the reactor runs application handlers (kEventLoop only).
+// Where the reactor runs application handlers (DESIGN.md §15).
 enum class AppDispatch : std::uint8_t {
   // On the owning I/O loop, synchronously. No cross-thread handoff — the
   // right default for the fast in-memory gateway path; overload shows up
@@ -121,8 +110,9 @@ struct ProviderConfig {
   };
   bool strip_javascript = true;  // §3.5 client-side support
   net::ParserLimits http_limits;
-  // Worker threads for serve(); connections queue beyond this (bounded
-  // concurrency is the §3.5 admission control, not thread-per-client).
+  // Worker threads of the AppDispatch::kPooled handler pool; requests
+  // queue beyond this (bounded concurrency is the §3.5 admission
+  // control, not thread-per-client).
   std::size_t worker_threads = 8;
   // ---- Robustness (DESIGN.md §12) ----------------------------------------
   // Slow-client reaping defaults: a client gets 10 s to deliver its
@@ -133,17 +123,17 @@ struct ProviderConfig {
       .body_deadline_micros = 30'000'000,
       .write_timeout_micros = 10'000'000,
   };
-  // Connections allowed to wait for a worker; beyond this the accept
-  // loop sheds with 503 + Retry-After instead of queueing unboundedly.
+  // Requests allowed to wait for a kPooled worker; beyond this the
+  // reactor sheds at dispatch with 503 + Retry-After instead of queueing
+  // unboundedly. (The name predates per-request dispatch.)
   std::size_t max_queued_connections = 256;
-  // ---- Serving mode (DESIGN.md §15) ---------------------------------------
-  ServeMode serve_mode = ServeMode::kEventLoop;
-  // Reactor I/O loop threads (kEventLoop only). One loop multiplexes
-  // tens of thousands of connections; raise only when a single core
-  // cannot keep up with parsing + framing.
+  // ---- Serving (DESIGN.md §15) --------------------------------------------
+  // Reactor I/O loop threads. One loop multiplexes tens of thousands of
+  // connections; raise only when a single core cannot keep up with
+  // parsing + framing.
   std::size_t io_threads = 1;
-  // Reactor handler placement (kEventLoop only): inline on the loop by
-  // default; kPooled offloads to the worker pool for blocking handlers.
+  // Reactor handler placement: inline on the loop by default; kPooled
+  // offloads to the worker pool for blocking handlers.
   AppDispatch app_dispatch = AppDispatch::kInline;
   // Per-request wall-clock budget stamped into RequestContext at the
   // gateway (tightened by a client X-W5-Deadline-Ms header; 0 disables).
@@ -227,9 +217,10 @@ class Provider {
   // locked (see DESIGN.md "Concurrency model").
   net::HttpResponse handle(const net::HttpRequest& request);
 
-  // Serves real TCP clients on config().worker_threads workers. Blocks
-  // until the listener is closed (call listener.close() from elsewhere).
-  // Returns the number of connections dispatched.
+  // Serves real TCP clients on the epoll reactor (config().io_threads
+  // loops; handlers placed per config().app_dispatch). Blocks until the
+  // listener is closed (call listener.close() from elsewhere). Returns
+  // the number of connections accepted.
   std::size_t serve(net::TcpListener& listener);
 
   // The pool behind serve(), created lazily (tests that never serve()
@@ -250,7 +241,7 @@ class Provider {
 
   // Connection-plane gauges/counters for serve() (DESIGN.md §15):
   // open/idle levels, accepts, timeout closes, resets. Exported via
-  // /metrics in both serving modes.
+  // /metrics.
   net::ConnStats& conn_stats() noexcept { return conn_stats_; }
   const net::ConnStats& conn_stats() const noexcept { return conn_stats_; }
 

@@ -34,8 +34,6 @@ util::Json build_section() {
 util::Json serving_section(Provider& provider) {
   const ProviderConfig& config = provider.config();
   util::Json serving = util::Json::object();
-  serving["mode"] =
-      config.serve_mode == ServeMode::kEventLoop ? "event_loop" : "pooled";
   serving["app_dispatch"] =
       config.app_dispatch == AppDispatch::kInline ? "inline" : "pooled";
   serving["io_threads"] = from_u64(config.io_threads);

@@ -15,10 +15,7 @@ Node::Node(std::string name, platform::Provider& provider,
            net::InMemoryNetwork& network)
     : name_(std::move(name)),
       provider_(provider),
-      network_(network),
-      server_([this](const net::HttpRequest& request) {
-        return handle_request(request);
-      }) {
+      network_(network) {
   // Accepted connections are parked until the dialer pumps us — the
   // single-threaded in-memory transport means request bytes arrive only
   // after dial() returns.
@@ -28,8 +25,12 @@ Node::Node(std::string name, platform::Provider& provider,
         pending_.push_back(std::move(conn));
       },
       [this] {
+        const net::ServerHandler handler =
+            [this](const net::HttpRequest& request) {
+              return handle_request(request);
+            };
         for (auto& conn : pending_)
-          if (conn && !conn->closed()) server_.serve(*conn);
+          if (conn && !conn->closed()) (void)net::serve_inline(*conn, handler);
         std::erase_if(pending_, [](const auto& conn) {
           return conn == nullptr || conn->closed();
         });

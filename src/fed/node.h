@@ -35,7 +35,7 @@
 #include "net/backoff.h"
 #include "net/circuit_breaker.h"
 #include "net/http_client.h"
-#include "net/http_server.h"
+#include "net/http_session.h"
 #include "net/transport.h"
 #include "util/thread_annotations.h"
 #include "util/lock_ranks.h"
@@ -149,7 +149,6 @@ class Node {
   platform::Provider& provider_;
   net::InMemoryNetwork& network_;
   MirrorAuthorizer mirrors_;
-  net::HttpServer server_;
   std::vector<std::unique_ptr<net::Connection>> pending_;
   // (collection, id) -> clock
   std::map<std::pair<std::string, std::string>, VectorClock> clocks_;

@@ -10,7 +10,6 @@
 #include "net/tracing.h"
 #include "util/log.h"
 #include "util/metrics.h"
-#include "util/strings.h"
 #include "util/thread_annotations.h"
 #include "util/lock_ranks.h"
 
@@ -19,19 +18,15 @@ namespace w5::net {
 namespace {
 
 // Deadlines reap real stalled sockets, so the reactor reads the wall
-// clock directly (same rationale as http_server.cpp).
+// clock directly rather than threading a Clock& through every transport.
 util::Micros wall_now() {
   static const util::WallClock clock;
   return clock.now();
 }
 
-void count(std::atomic<std::uint64_t>* counter) {
-  if (counter != nullptr) counter->fetch_add(1, std::memory_order_relaxed);
-}
-
-void gauge_add(std::atomic<std::int64_t>* gauge, std::int64_t delta) {
-  if (gauge != nullptr) gauge->fetch_add(delta, std::memory_order_relaxed);
-}
+// Timer wheel: 1024 slots of 20 ms; deadlines fire at most one slot late.
+constexpr util::Micros kTimerGranularityMicros = 20'000;
+constexpr std::size_t kTimerSlots = 1024;
 
 // epoll user-data keys below kFirstConnId name loop-level fds.
 constexpr std::uint64_t kListenerKey = 0;
@@ -86,42 +81,23 @@ struct EventLoopHttpServer::Mailbox {
   std::vector<Item> items W5_GUARDED_BY(mutex);
 };
 
-// Per-connection state machine. Owned by exactly one loop; every field
-// is touched only from that loop's thread (the thread-ownership rule).
+// Per-connection I/O state around the session. Owned by exactly one
+// loop; every field is touched only from that loop's thread (the
+// thread-ownership rule).
 struct EventLoopHttpServer::Conn {
-  enum class State : std::uint8_t {
-    kIdle,        // keep-alive, no request bytes yet
-    kReading,     // headers or body arriving
-    kDispatched,  // handler running on the executor
-    kWriting,     // response draining to the socket
-  };
-
-  explicit Conn(ParserLimits limits) : parser(limits) {}
+  Conn(ParserLimits limits, const ServerOptions& options, ServerStats* stats,
+       ConnStats* conn_stats)
+      : session(limits, options, stats, conn_stats) {}
 
   std::uint64_t id = 0;
-  int fd = -1;  // raw socket fd (epoll registration); I/O goes via `io`
   std::unique_ptr<Connection> io;
-  RequestParser parser;
-  State state = State::kIdle;
-  bool read_ready = true;   // ET memo: an edge fired since the last EAGAIN
-  bool got_bytes = false;   // bytes seen since entering idle (408 vs silent)
-  bool keep_alive = true;
-  bool close_after_write = false;
-  bool count_handled = false;
-  bool in_body_phase = false;  // body deadline armed (restarts the clock)
-  bool counted_idle = false;   // holds one unit of the idle gauge
+  HttpSession session;
+  bool read_ready = true;  // ET memo: an edge fired since the last EAGAIN
   // One armed deadline at a time; stale wheel entries are detected by
   // deadline mismatch (re-arm moves the deadline, disarm clears it).
   bool timer_armed = false;
   util::Micros timer_deadline = 0;
-  // Pipelined surplus: bytes read past a request boundary, re-fed after
-  // the response for the request ahead of them finishes writing.
-  std::string inbuf;
-  std::size_t inbuf_off = 0;
-  // In-flight response, head and body kept separate for writev.
-  std::string out_head;
-  std::string out_body;
-  std::size_t out_off = 0;
+  std::size_t out_off = 0;  // bytes of session.head() + body() written
   // Stage attribution stamps (DESIGN.md §16), set only when the server
   // has an on_stage sink. All absolute wall micros; 0 = not reached.
   util::Micros t_request_start = 0;  // first byte of the current request
@@ -144,8 +120,7 @@ struct EventLoopHttpServer::Loop {
   std::thread thread;  // loops 1..n-1; loop 0 runs on the serve() caller
   std::atomic<bool> stop{false};
 
-  Loop(util::Micros granularity, std::size_t slots)
-      : wheel(granularity, slots) {}
+  Loop() : wheel(kTimerGranularityMicros, kTimerSlots) {}
   ~Loop() {
     if (epoll_fd >= 0) ::close(epoll_fd);
   }
@@ -189,8 +164,7 @@ std::size_t EventLoopHttpServer::serve(TcpListener& listener) {
   loops_.clear();
   loops_.reserve(n_loops);
   for (std::size_t i = 0; i < n_loops; ++i) {
-    auto loop = std::make_unique<Loop>(loop_options_.timer_granularity_micros,
-                                       loop_options_.timer_slots);
+    auto loop = std::make_unique<Loop>();
     loop->index = i;
     loop->epoll_fd = ::epoll_create1(EPOLL_CLOEXEC);
     loop->mailbox = std::make_shared<Mailbox>();
@@ -317,10 +291,8 @@ void EventLoopHttpServer::run_loop(Loop& loop) {
         auto it = loop.conns.find(id);
         if (it == loop.conns.end()) continue;  // died later in the batch
         Conn& conn = *it->second;
-        const bool pending =
-            conn.inbuf_off < conn.inbuf.size() || conn.read_ready;
-        if (pending && (conn.state == Conn::State::kIdle ||
-                        conn.state == Conn::State::kReading))
+        if ((conn.session.has_pending() || conn.read_ready) &&
+            conn.session.reading())
           pump_read(loop, conn);
       }
     }
@@ -374,13 +346,9 @@ void EventLoopHttpServer::accept_ready(Loop& loop) {
 
 void EventLoopHttpServer::add_conn(Loop& loop, std::unique_ptr<Connection> io,
                                    int fd, std::uint64_t id) {
-  count(conn_stats_ != nullptr ? &conn_stats_->accepted_total : nullptr);
-  gauge_add(conn_stats_ != nullptr ? &conn_stats_->open : nullptr, 1);
-
-  auto owned = std::make_unique<Conn>(limits_);
+  auto owned = std::make_unique<Conn>(limits_, options_, stats_, conn_stats_);
   Conn& conn = *owned;
   conn.id = id;
-  conn.fd = fd;
   conn.io = std::move(io);
 
   epoll_event ev{};
@@ -388,13 +356,12 @@ void EventLoopHttpServer::add_conn(Loop& loop, std::unique_ptr<Connection> io,
   ev.data.u64 = id;
   if (::epoll_ctl(loop.epoll_fd, EPOLL_CTL_ADD, fd, &ev) != 0) {
     conn.io->close();
-    gauge_add(conn_stats_ != nullptr ? &conn_stats_->open : nullptr, -1);
     return;
   }
   loop.conns.emplace(id, std::move(owned));
   if (LoopStats* lstats = loop_stats(loop); lstats != nullptr)
     lstats->connections.fetch_add(1, std::memory_order_relaxed);
-  enter_idle(loop, conn);
+  (void)apply(loop, conn, conn.session.start());
   // Bytes may have arrived before registration; with ET that edge is
   // already behind us, so probe the socket once (read_ready starts true).
   pump_read(loop, conn);
@@ -439,11 +406,12 @@ void EventLoopHttpServer::complete(Loop& loop, std::uint64_t id,
   // handler ran; its completion is dropped harmlessly.
   if (it == loop.conns.end()) return;
   Conn& conn = *it->second;
-  if (conn.state != Conn::State::kDispatched) return;
+  if (conn.session.state() != HttpSession::State::kDispatched) return;
   conn.t_handler_start = handler_start;
   conn.t_handler_done = handler_done;
-  start_write(loop, conn, std::move(response),
-              /*close_after=*/false, /*count_handled=*/true);
+  if (stage_enabled_)
+    conn.trace_id = response.headers.get(kTraceHeader).value_or("");
+  (void)apply(loop, conn, conn.session.respond(std::move(response)));
 }
 
 void EventLoopHttpServer::handle_event(Loop& loop, std::uint64_t id,
@@ -454,8 +422,7 @@ void EventLoopHttpServer::handle_event(Loop& loop, std::uint64_t id,
   if ((events & (EPOLLIN | EPOLLRDHUP)) != 0) {
     Conn& conn = *it->second;
     conn.read_ready = true;
-    if (conn.state == Conn::State::kIdle ||
-        conn.state == Conn::State::kReading) {
+    if (conn.session.reading()) {
       pump_read(loop, conn);
       it = loop.conns.find(id);  // pump may have destroyed the connection
       if (it == loop.conns.end()) return;
@@ -463,137 +430,86 @@ void EventLoopHttpServer::handle_event(Loop& loop, std::uint64_t id,
   }
   if ((events & EPOLLOUT) != 0) {
     Conn& conn = *it->second;
-    if (conn.state == Conn::State::kWriting) {
+    if (conn.session.state() == HttpSession::State::kWriting) {
       pump_write(loop, conn);
       it = loop.conns.find(id);
       if (it == loop.conns.end()) return;
     }
   }
-  if ((events & (EPOLLHUP | EPOLLERR)) != 0) {
-    count(conn_stats_ != nullptr ? &conn_stats_->reset_total : nullptr);
-    destroy(loop, *it->second);
-  }
+  if ((events & (EPOLLHUP | EPOLLERR)) != 0)
+    (void)apply(loop, *it->second, it->second->session.on_reset());
 }
 
 void EventLoopHttpServer::pump_read(Loop& loop, Conn& conn) {
   char buf[16 * 1024];
-  const std::size_t chunk =
-      std::min(sizeof(buf), std::max<std::size_t>(loop_options_.read_chunk_bytes, 1));
-  // feed() can destroy the connection synchronously (parse error whose
-  // rejection writes out in full, shed ditto); every feed is followed by
-  // an existence check before `conn` is touched again.
-  const std::uint64_t id = conn.id;
-  while (conn.state == Conn::State::kIdle ||
-         conn.state == Conn::State::kReading) {
+  const auto stamp_request_start = [this, &conn] {
+    if (stage_enabled_ && conn.session.state() == HttpSession::State::kIdle)
+      conn.t_request_start = wall_now();
+  };
+  while (conn.session.reading()) {
     // Buffered pipelined bytes first — they precede anything in the socket.
-    if (conn.inbuf_off < conn.inbuf.size()) {
-      const std::string_view pending(conn.inbuf.data() + conn.inbuf_off,
-                                     conn.inbuf.size() - conn.inbuf_off);
-      const std::size_t consumed = feed(loop, conn, pending);
-      if (loop.conns.find(id) == loop.conns.end()) return;
-      conn.inbuf_off += consumed;
-      if (conn.inbuf_off >= conn.inbuf.size()) {
-        conn.inbuf.clear();
-        conn.inbuf_off = 0;
-      }
-      continue;  // the loop condition re-checks the (possibly new) state
+    if (conn.session.has_pending()) {
+      stamp_request_start();
+      if (!apply(loop, conn, conn.session.feed())) return;
+      continue;
     }
     if (!conn.read_ready) return;  // ET: wait for the next edge
-    auto n = conn.io->read(buf, chunk);
-    if (!n.ok()) {
-      const std::string& code = n.error().code;
-      if (code == "net.would_block") {
-        conn.read_ready = false;
-        return;
-      }
-      if (code == "net.timeout") {
-        // An injected drop (FaultyConnection): nothing further arrives on
-        // this connection — same terminal-timeout semantics as the
-        // blocking path.
-        count(stats_ != nullptr ? &stats_->timeouts_total : nullptr);
-        reap(loop, conn, conn.got_bytes);
-        return;
-      }
-      count(conn_stats_ != nullptr ? &conn_stats_->reset_total : nullptr);
-      destroy(loop, conn);
+    auto n = conn.io->read(buf, sizeof(buf));
+    HttpSession::Step step;
+    if (n.ok() && n.value() > 0) {
+      stamp_request_start();
+      step = conn.session.feed(std::string_view(buf, n.value()));
+    } else if (n.ok()) {
+      step = conn.session.on_eof();
+    } else if (n.error().code == "net.would_block") {
+      conn.read_ready = false;
       return;
+    } else if (n.error().code == "net.timeout") {
+      // An injected drop (FaultyConnection): nothing further arrives, so
+      // the session reaps as if its deadline fired.
+      step = conn.session.on_timeout();
+    } else {
+      step = conn.session.on_reset();
     }
-    if (n.value() == 0) {  // EOF
-      if (conn.state == Conn::State::kReading) {
-        // Mid-request close: tell the client why (blocking-path parity),
-        // best-effort — the peer may only be half-closed.
-        HttpResponse bad = HttpResponse::text(400, "truncated request\n");
-        bad.headers.set("Connection", "close");
-        stamp_trace_echo(bad, conn.parser.parsed_headers());
-        const std::string wire = bad.to_wire();
-        (void)conn.io->write_some(wire);
-      }
-      destroy(loop, conn);
-      return;
-    }
-    const std::size_t consumed =
-        feed(loop, conn, std::string_view(buf, n.value()));
-    if (loop.conns.find(id) == loop.conns.end()) return;
-    if (consumed < n.value()) {
-      // Request boundary mid-buffer: stash the pipelined surplus (inbuf
-      // is empty here — the socket is only read once it has drained).
-      conn.inbuf.assign(buf + consumed, n.value() - consumed);
-      conn.inbuf_off = 0;
-    }
+    if (!apply(loop, conn, step)) return;
   }
 }
 
-std::size_t EventLoopHttpServer::feed(Loop& loop, Conn& conn,
-                                      std::string_view data) {
-  if (conn.state == Conn::State::kIdle) {
-    leave_idle(conn);
-    conn.state = Conn::State::kReading;
-    conn.got_bytes = true;
-    if (stage_enabled_) conn.t_request_start = wall_now();
-    // The header deadline keeps running from idle entry (request start) —
-    // same clock the blocking path uses.
+bool EventLoopHttpServer::apply(Loop& loop, Conn& conn,
+                                const HttpSession::Step& step) {
+  if (step.deadline && *step.deadline > 0) {
+    arm_timer(loop, conn, *step.deadline);
+  } else if (step.deadline) {
+    conn.timer_armed = false;  // O(1): the wheel entry goes stale
   }
-  const std::size_t consumed = conn.parser.feed(data);
-  if (conn.parser.failed()) {
-    // 431: header block over budget; 413: declared body over budget;
-    // anything else is a plain parse failure (400).
-    int status = 400;
-    if (conn.parser.error().code == "http.too_large") {
-      status = 413;
-      count(stats_ != nullptr ? &stats_->rejected_413_total : nullptr);
-    } else if (conn.parser.error().code == "http.headers_too_large") {
-      status = 431;
-      count(stats_ != nullptr ? &stats_->rejected_431_total : nullptr);
+  const std::uint64_t id = conn.id;
+  switch (step.action) {
+    case HttpSession::Action::kRead:
+      return true;
+    case HttpSession::Action::kDispatch:
+      dispatch(loop, conn);
+      break;
+    case HttpSession::Action::kWrite:
+      conn.out_off = 0;
+      pump_write(loop, conn);
+      break;
+    case HttpSession::Action::kClose: {
+      // An early exit (408, 400 truncated) is written best-effort in one
+      // call: a client slow enough to be reaped, or already gone, is not
+      // waited on.
+      const std::string_view iov[2] = {conn.session.head(),
+                                       conn.session.body()};
+      if (!iov[0].empty()) (void)conn.io->writev_some(iov, 2);
+      destroy(loop, conn);
+      return false;
     }
-    HttpResponse rejection =
-        HttpResponse::text(status, conn.parser.error().code + "\n");
-    // Early-exit parity with the pooled path: echo a validated inbound
-    // X-W5-Trace so the caller's trace shows where the hop failed.
-    stamp_trace_echo(rejection, conn.parser.parsed_headers());
-    disarm_timer(conn);
-    start_write(loop, conn, std::move(rejection), /*close_after=*/true,
-                /*count_handled=*/false);
-    return consumed;
   }
-  if (!conn.in_body_phase && conn.parser.state() == ParseState::kBody) {
-    // Body phase restarts the clock (blocking-path parity).
-    conn.in_body_phase = true;
-    disarm_timer(conn);
-    if (options_.body_deadline_micros > 0)
-      arm_timer(loop, conn, options_.body_deadline_micros);
-  }
-  if (conn.parser.complete()) dispatch(loop, conn);
-  return consumed;
+  // dispatch / pump_write may have finished the connection synchronously
+  // (inline handler, close-after response written in full).
+  return loop.conns.find(id) != loop.conns.end();
 }
 
 void EventLoopHttpServer::dispatch(Loop& loop, Conn& conn) {
-  HttpRequest request = conn.parser.take();
-  conn.parser.reset();
-  conn.in_body_phase = false;
-  conn.keep_alive =
-      !util::iequals(request.headers.get("Connection").value_or(""), "close");
-  disarm_timer(conn);  // no deadline while application code runs
-  conn.state = Conn::State::kDispatched;
   if (stage_enabled_) conn.t_parse_done = wall_now();
 
   // The job captures the mailbox (not the loop): if the connection dies
@@ -608,7 +524,8 @@ void EventLoopHttpServer::dispatch(Loop& loop, Conn& conn) {
   const std::thread::id owner_tid = std::this_thread::get_id();
   const std::uint64_t id = conn.id;
   // shared_ptr: std::function requires a copyable closure.
-  auto shared_request = std::make_shared<HttpRequest>(std::move(request));
+  auto shared_request =
+      std::make_shared<HttpRequest>(conn.session.take_request());
   const bool admitted =
       executor_([this, mailbox, owner, owner_tid, id, shared_request] {
         const util::Micros handler_start = stage_enabled_ ? wall_now() : 0;
@@ -630,53 +547,28 @@ void EventLoopHttpServer::dispatch(Loop& loop, Conn& conn) {
         mailbox->post(std::move(item));
       });
   if (!admitted) {
-    // Load shed. The blocking server sheds at accept; the reactor parses
-    // headers on the (cheap) I/O loop and sheds at dispatch — same
-    // observable 503 + Retry-After + close.
-    count(stats_ != nullptr ? &stats_->shed_total : nullptr);
-    HttpResponse shed = HttpResponse::text(503, "overloaded, retry later\n");
-    shed.headers.set("Retry-After",
-                     std::to_string(options_.retry_after_seconds));
-    stamp_trace_echo(shed, shared_request->headers);
-    start_write(loop, conn, std::move(shed), /*close_after=*/true,
-                /*count_handled=*/false);
+    // Load shed: headers are parsed on the (cheap) I/O loop, so the
+    // reactor sheds at dispatch.
+    (void)apply(loop, conn, conn.session.refuse(shared_request->headers));
   }
 }
 
-void EventLoopHttpServer::start_write(Loop& loop, Conn& conn,
-                                      HttpResponse response, bool close_after,
-                                      bool count_handled) {
-  if (!conn.keep_alive) close_after = true;
-  if (close_after) response.headers.set("Connection", "close");
-  if (stage_enabled_ && count_handled)
-    conn.trace_id = response.headers.get(kTraceHeader).value_or("");
-  conn.out_head = response.to_wire_head();
-  conn.out_body = std::move(response.body);
-  conn.out_off = 0;
-  conn.close_after_write = close_after;
-  conn.count_handled = count_handled;
-  conn.state = Conn::State::kWriting;
-  if (options_.write_timeout_micros > 0)
-    arm_timer(loop, conn, options_.write_timeout_micros);
-  pump_write(loop, conn);
-}
-
 void EventLoopHttpServer::pump_write(Loop& loop, Conn& conn) {
-  const std::size_t total = conn.out_head.size() + conn.out_body.size();
+  const std::string_view head = conn.session.head();
+  const std::string_view body = conn.session.body();
+  const std::size_t total = head.size() + body.size();
   while (conn.out_off < total) {
     std::string_view iov[2];
     std::size_t iov_count = 0;
-    if (conn.out_off < conn.out_head.size()) {
-      iov[iov_count++] = std::string_view(conn.out_head).substr(conn.out_off);
-      if (!conn.out_body.empty()) iov[iov_count++] = conn.out_body;
+    if (conn.out_off < head.size()) {
+      iov[iov_count++] = head.substr(conn.out_off);
+      if (!body.empty()) iov[iov_count++] = body;
     } else {
-      iov[iov_count++] =
-          std::string_view(conn.out_body).substr(conn.out_off - conn.out_head.size());
+      iov[iov_count++] = body.substr(conn.out_off - head.size());
     }
     auto n = conn.io->writev_some(iov, iov_count);
     if (!n.ok()) {
-      count(conn_stats_ != nullptr ? &conn_stats_->reset_total : nullptr);
-      destroy(loop, conn);
+      (void)apply(loop, conn, conn.session.on_reset());
       return;
     }
     if (n.value() == 0) return;  // kernel buffer full; EPOLLOUT edge resumes
@@ -684,26 +576,17 @@ void EventLoopHttpServer::pump_write(Loop& loop, Conn& conn) {
   }
 
   // Response fully written.
-  disarm_timer(conn);
-  if (conn.count_handled) {
-    count(stats_ != nullptr ? &stats_->handled_total : nullptr);
+  if (conn.session.answering()) {
     if (LoopStats* lstats = loop_stats(loop); lstats != nullptr)
       lstats->requests.fetch_add(1, std::memory_order_relaxed);
     if (stage_enabled_) report_stages(loop, conn);
   }
-  if (conn.close_after_write) {
-    destroy(loop, conn);
-    return;
-  }
-  conn.out_head.clear();
-  conn.out_body.clear();
-  conn.out_off = 0;
-  enter_idle(loop, conn);
+  if (!apply(loop, conn, conn.session.written())) return;
   // A pipelined request may already be buffered (or readable). Deferred
   // to run_loop's drain rather than pumped recursively: with inline
   // dispatch a deep pipeline would otherwise nest a full
   // read→dispatch→write frame (16 KiB read buffer included) per request.
-  if (conn.inbuf_off < conn.inbuf.size() || conn.read_ready)
+  if (conn.session.has_pending() || conn.read_ready)
     loop.ready.push_back(conn.id);
 }
 
@@ -716,20 +599,7 @@ void EventLoopHttpServer::on_timer(Loop& loop, std::uint64_t id,
   // wheel entry was scheduled.
   if (!conn.timer_armed || conn.timer_deadline != deadline) return;
   conn.timer_armed = false;
-  count(stats_ != nullptr ? &stats_->timeouts_total : nullptr);
-  switch (conn.state) {
-    case Conn::State::kIdle:
-      reap(loop, conn, /*send_408=*/false);  // nothing asked, nothing owed
-      break;
-    case Conn::State::kReading:
-      reap(loop, conn, /*send_408=*/true);  // mid-request: say why
-      break;
-    case Conn::State::kWriting:
-      reap(loop, conn, /*send_408=*/false);  // receiver never drained
-      break;
-    case Conn::State::kDispatched:
-      break;  // no deadline runs while the handler does (disarmed above)
-  }
+  (void)apply(loop, conn, conn.session.on_timeout());
 }
 
 void EventLoopHttpServer::arm_timer(Loop& loop, Conn& conn,
@@ -738,47 +608,6 @@ void EventLoopHttpServer::arm_timer(Loop& loop, Conn& conn,
   conn.timer_armed = true;
   conn.timer_deadline = now + delay;
   loop.wheel.schedule(now, conn.timer_deadline, conn.id);
-}
-
-void EventLoopHttpServer::disarm_timer(Conn& conn) {
-  // O(1): the wheel entry goes stale and is swept with its slot.
-  conn.timer_armed = false;
-}
-
-void EventLoopHttpServer::enter_idle(Loop& loop, Conn& conn) {
-  conn.state = Conn::State::kIdle;
-  conn.got_bytes = false;
-  if (!conn.counted_idle) {
-    gauge_add(conn_stats_ != nullptr ? &conn_stats_->idle : nullptr, 1);
-    conn.counted_idle = true;
-  }
-  // The header deadline doubles as the idle cap (ServerOptions contract).
-  if (options_.header_deadline_micros > 0)
-    arm_timer(loop, conn, options_.header_deadline_micros);
-}
-
-void EventLoopHttpServer::leave_idle(Conn& conn) {
-  if (conn.counted_idle) {
-    gauge_add(conn_stats_ != nullptr ? &conn_stats_->idle : nullptr, -1);
-    conn.counted_idle = false;
-  }
-}
-
-void EventLoopHttpServer::reap(Loop& loop, Conn& conn, bool send_408) {
-  count(stats_ != nullptr ? &stats_->reaped_total : nullptr);
-  count(conn_stats_ != nullptr ? &conn_stats_->timeout_closes_total : nullptr);
-  if (send_408) {
-    // Best-effort single write: a client slow enough to be reaped rarely
-    // has a full receive window, and we will not wait on one that does.
-    // The partially parsed headers may already carry a valid X-W5-Trace;
-    // echo it (pooled-path parity).
-    HttpResponse timeout = HttpResponse::text(408, "request timeout\n");
-    timeout.headers.set("Connection", "close");
-    stamp_trace_echo(timeout, conn.parser.parsed_headers());
-    const std::string wire = timeout.to_wire();
-    (void)conn.io->write_some(wire);
-  }
-  destroy(loop, conn);
 }
 
 void EventLoopHttpServer::report_stages(Loop& loop, Conn& conn) {
@@ -809,13 +638,10 @@ void EventLoopHttpServer::report_stages(Loop& loop, Conn& conn) {
 }
 
 void EventLoopHttpServer::destroy(Loop& loop, Conn& conn) {
-  disarm_timer(conn);
-  leave_idle(conn);
   conn.io->close();  // closing the fd also drops it from the epoll set
-  gauge_add(conn_stats_ != nullptr ? &conn_stats_->open : nullptr, -1);
   if (LoopStats* lstats = loop_stats(loop); lstats != nullptr)
     lstats->connections.fetch_sub(1, std::memory_order_relaxed);
-  loop.conns.erase(conn.id);  // frees `conn` — caller must not touch it
+  loop.conns.erase(conn.id);  // frees `conn`; its session unwinds the gauges
 }
 
 }  // namespace w5::net

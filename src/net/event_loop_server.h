@@ -1,26 +1,24 @@
 // Epoll edge-triggered reactor: event-driven HTTP serving (DESIGN.md §15).
 //
-// The worker-per-connection PooledHttpServer pins one pool worker per
-// open socket for the connection's whole life — an idle keep-alive
-// client costs a thread. This server inverts the model: a small set of
-// I/O loop threads multiplex every connection with epoll(7) in
-// edge-triggered mode, each connection a state machine
+// A small set of I/O loop threads multiplex every connection with
+// epoll(7) in edge-triggered mode. Each connection is an HttpSession
+// (net/http_session.h) — the I/O-free HTTP/1.1 state machine
 //
 //   idle → reading (headers → body) → dispatched → writing → idle
 //
-// driving the incremental net/http_parser. Application work (the
-// ServerHandler) still runs on the caller's executor (the provider's
-// thread pool); the finished response is handed back to the connection's
-// owning loop through a mailbox + eventfd wakeup, so connection state is
-// only ever touched by its owning loop thread — the thread-ownership
-// rule that keeps the reactor lock-free on the hot path.
+// that owns every protocol decision; the reactor only moves bytes,
+// deadlines and completions: epoll, the timer wheel, the mailbox, accept
+// and writev. Application work (the ServerHandler) runs on the caller's
+// executor (inline on the loop, or the provider's thread pool); a
+// finished response is handed back to the connection's owning loop
+// through a mailbox + eventfd wakeup, so connection state is only ever
+// touched by its owning loop thread — the thread-ownership rule that
+// keeps the reactor lock-free on the hot path.
 //
-// Deadlines (the same ServerOptions the pooled server honors — header/
-// idle, body, and write budgets, 408/413/431/503 semantics preserved
-// behavior-for-behavior) come from a hashed timer wheel per loop instead
-// of poll-quantum wakeups: tens of thousands of idle keep-alive
-// connections sleep in the epoll set at ~0 CPU until bytes arrive or
-// their deadline slot comes up.
+// The session's deadlines (ServerOptions: header/idle, body, write) come
+// from a hashed timer wheel per loop: tens of thousands of idle
+// keep-alive connections sleep in the epoll set at ~0 CPU until bytes
+// arrive or their deadline slot comes up.
 #pragma once
 
 #include <atomic>
@@ -33,7 +31,7 @@
 
 #include "net/http.h"
 #include "net/http_parser.h"
-#include "net/http_server.h"
+#include "net/http_session.h"
 #include "net/tcp.h"
 #include "net/timer_wheel.h"
 #include "util/clock.h"
@@ -96,11 +94,6 @@ struct EventLoopOptions {
   // Reactor loop threads. Loop 0 runs on the serve() caller's thread and
   // owns the listener; accepted connections are dealt round-robin.
   std::size_t io_threads = 1;
-  // Timer wheel slot width: deadlines fire at most one slot late.
-  util::Micros timer_granularity_micros = 20'000;
-  std::size_t timer_slots = 1024;
-  // Bytes per read(2) into the parser.
-  std::size_t read_chunk_bytes = 16 * 1024;
   ConnectionDecorator decorate;  // optional (fault injection)
   ReactorTelemetry telemetry;    // optional (DESIGN.md §16)
 };
@@ -118,7 +111,7 @@ class EventLoopHttpServer {
   EventLoopHttpServer& operator=(const EventLoopHttpServer&) = delete;
 
   // Runs the reactor until the listener is closed (listener.close() from
-  // another thread, the same shutdown contract as PooledHttpServer).
+  // another thread).
   // Returns the number of connections accepted. The caller is
   // responsible for draining its executor afterwards — completions for
   // connections that no longer exist are dropped harmlessly.
@@ -141,20 +134,13 @@ class EventLoopHttpServer {
                 util::Micros handler_start, util::Micros handler_done);
   void handle_event(Loop& loop, std::uint64_t id, std::uint32_t events);
   void pump_read(Loop& loop, Conn& conn);
-  // Feeds data to the connection's parser, driving state transitions.
-  // Returns bytes consumed (short on request completion — pipelining).
-  std::size_t feed(Loop& loop, Conn& conn, std::string_view data);
+  // Carries out what the connection's session asked for. Returns false
+  // when that destroyed the connection (the caller must not touch it).
+  bool apply(Loop& loop, Conn& conn, const HttpSession::Step& step);
   void dispatch(Loop& loop, Conn& conn);
-  void start_write(Loop& loop, Conn& conn, HttpResponse response,
-                   bool close_after, bool count_handled);
   void pump_write(Loop& loop, Conn& conn);
   void on_timer(Loop& loop, std::uint64_t id, util::Micros deadline);
   void arm_timer(Loop& loop, Conn& conn, util::Micros delay);
-  void disarm_timer(Conn& conn);
-  void enter_idle(Loop& loop, Conn& conn);
-  void leave_idle(Conn& conn);
-  // 408 (only when the client owed us a request), then close.
-  void reap(Loop& loop, Conn& conn, bool send_408);
   void destroy(Loop& loop, Conn& conn);
   void request_stop();
 

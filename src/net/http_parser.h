@@ -54,7 +54,7 @@ class MessageParser {
   std::size_t feed(std::string_view data);
 
   // Headers parsed so far — valid in every state, including kError and a
-  // partial header block. The serving paths use this to echo a validated
+  // partial header block. HttpSession uses this to echo a validated
   // X-W5-Trace id on early-exit responses (408/413/431) whose request
   // never reaches the handler (DESIGN.md §16).
   const Headers& parsed_headers() const noexcept { return headers_storage_; }

@@ -2,7 +2,6 @@
 
 #include <utility>
 
-#include "net/http.h"
 #include "util/lock_ranks.h"
 #include "util/thread_annotations.h"
 
@@ -44,13 +43,6 @@ bool outbound_trace_headers(TraceHeaders* out) {
   }
   if (!provider) return false;
   return provider(out);
-}
-
-void stamp_trace_echo(HttpResponse& response,
-                      const Headers& request_headers) {
-  const auto trace = request_headers.get(kTraceHeader);
-  if (trace && valid_trace_token(*trace))
-    response.headers.set(std::string(kTraceHeader), *trace);
 }
 
 }  // namespace w5::net

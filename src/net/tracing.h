@@ -2,9 +2,9 @@
 //
 // The layering DAG forbids net/ → core/, but outbound requests made by
 // net::HttpClient must carry the active request's trace context
-// (X-W5-Trace / X-W5-Parent / X-W5-Sampled) and the serving paths must
-// echo a validated inbound id on early-exit responses the handler never
-// sees (408/413/431/503). The seam is a process-global provider hook:
+// (X-W5-Trace / X-W5-Parent / X-W5-Sampled) and the connection engine
+// (net/http_session) must echo a validated inbound id on early-exit
+// responses the handler never sees (408/413/431/503). The seam is a process-global provider hook:
 // core installs a snapshot function over its thread-local RequestContext;
 // net only knows the header names and the id *shape*.
 //
@@ -18,7 +18,7 @@
 
 namespace w5::net {
 
-// Wire header names, shared by both serving paths, the client, and core.
+// Wire header names, shared by the connection engine, the client, and core.
 inline constexpr std::string_view kTraceHeader = "X-W5-Trace";
 inline constexpr std::string_view kParentHeader = "X-W5-Parent";
 inline constexpr std::string_view kSampledHeader = "X-W5-Sampled";
@@ -46,16 +46,5 @@ void set_outbound_trace_provider(TraceProvider provider);
 // Fills `out` from the installed provider; false when none is installed
 // or no context is active.
 bool outbound_trace_headers(TraceHeaders* out);
-
-class Headers;
-struct HttpResponse;
-
-// Echoes a validated inbound X-W5-Trace id onto an early-exit response
-// (408/413/431/503) the handler never sees, so a traced caller can still
-// correlate the failure with its trace. Invalid or absent ids stamp
-// nothing — the shape check keeps arbitrary client bytes out of the
-// response header (§3.5). Both serving paths share this helper, which is
-// what keeps their early-exit behavior identical.
-void stamp_trace_echo(HttpResponse& response, const Headers& request_headers);
 
 }  // namespace w5::net

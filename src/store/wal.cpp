@@ -466,8 +466,8 @@ void WriteAheadLog::flusher_main() {
     lock.unlock();
 
     // A rotation splits the batch: frames below the boundary complete the
-    // old segment (always fsynced — closed segments are fully durable),
-    // the rest open the new one.
+    // old segment (fsynced in every mode but kNone — closed segments are
+    // as durable as the mode promises), the rest open the new one.
     std::vector<Pending> tail;
     if (rotate_boundary != 0) {
       const auto split = std::partition_point(

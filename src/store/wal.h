@@ -41,7 +41,10 @@ namespace w5::store {
 
 // How hard an acknowledged mutation promises to be on disk.
 enum class DurabilityMode : std::uint8_t {
-  kNone,      // appends reach the OS eventually; no fsync is ever issued
+  kNone,      // appends reach the OS eventually; the log never fsyncs
+              // (rotation included), but compaction's snapshots still
+              // fsync their file and directory — what makes deleting the
+              // covered segments safe
   kInterval,  // batches are written promptly, fsynced every flush interval
   kFsync,     // the caller blocks until its batch is fsynced (group commit)
 };
@@ -117,7 +120,8 @@ class WriteAheadLog {
 
   // Closes the current segment at a batch boundary and starts a new one.
   // Returns the new segment's first sequence number: every frame < that
-  // boundary is in closed segments, fsynced. Compaction calls this before
+  // boundary is in closed segments, fsynced (except in kNone, which
+  // never fsyncs the log). Compaction calls this before
   // snapshotting so the snapshot provably covers the old segments.
   // Returns 0 if the rotation could not complete (failed log) — the
   // caller must not snapshot against an unproven boundary.

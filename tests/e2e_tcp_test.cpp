@@ -1,8 +1,7 @@
 // Full-stack integration over real TCP sockets: browser-equivalent client
 // speaks HTTP/1.1 to a provider served by the TCP listener, exercising
-// parse → auth → app → perimeter → serialize end to end. Parameterized
-// over both serving modes (DESIGN.md §15): the epoll reactor and the
-// worker-per-connection pool must be observably identical here.
+// parse → auth → app → perimeter → serialize end to end, on the epoll
+// reactor (DESIGN.md §15) with its default inline dispatch.
 #include <gtest/gtest.h>
 
 #include <thread>
@@ -11,7 +10,6 @@
 #include "core/gateway.h"
 #include "core/provider.h"
 #include "net/http_client.h"
-#include "net/http_server.h"
 #include "net/tcp.h"
 
 namespace w5 {
@@ -21,25 +19,18 @@ using net::HttpRequest;
 using net::HttpResponse;
 using net::Method;
 
-class TcpEndToEnd : public ::testing::TestWithParam<platform::ServeMode> {
+class TcpEndToEnd : public ::testing::Test {
  protected:
   void SetUp() override {
-    platform::ProviderConfig config;
-    config.serve_mode = GetParam();
-    provider_ =
-        std::make_unique<platform::Provider>(std::move(config), clock_);
+    provider_ = std::make_unique<platform::Provider>(
+        platform::ProviderConfig{}, clock_);
     apps::register_standard_apps(*provider_);
     ASSERT_TRUE(listener_.listen(0).ok());
-    // Either mode: requests are handled on the provider's worker threads,
-    // so concurrent clients exercise the locked hot path.
     server_thread_ = std::thread([this] { provider_->serve(listener_); });
   }
 
   void TearDown() override {
-    listener_.close();
-    // Unblock a blocking accept() by poking the port if needed (the
-    // reactor notices the closed listener on its own).
-    (void)net::tcp_connect(port());
+    listener_.close();  // the reactor notices and serve() returns
     server_thread_.join();
   }
 
@@ -69,16 +60,7 @@ class TcpEndToEnd : public ::testing::TestWithParam<platform::ServeMode> {
   std::thread server_thread_;
 };
 
-INSTANTIATE_TEST_SUITE_P(
-    ServeModes, TcpEndToEnd,
-    ::testing::Values(platform::ServeMode::kEventLoop,
-                      platform::ServeMode::kPooled),
-    [](const ::testing::TestParamInfo<platform::ServeMode>& param) {
-      return param.param == platform::ServeMode::kEventLoop ? "EventLoop"
-                                                            : "Pooled";
-    });
-
-TEST_P(TcpEndToEnd, BrowserSessionOverRealSockets) {
+TEST_F(TcpEndToEnd, BrowserSessionOverRealSockets) {
   // Sign up + log in; lift the cookie from Set-Cookie like a browser.
   EXPECT_EQ(roundtrip(Method::kPost, "/signup",
                       "user=bob&password=hunter2").status,
@@ -109,7 +91,7 @@ TEST_P(TcpEndToEnd, BrowserSessionOverRealSockets) {
   EXPECT_EQ(blocked.body.find("over tcp"), std::string::npos);
 }
 
-TEST_P(TcpEndToEnd, MalformedWireBytesGet400) {
+TEST_F(TcpEndToEnd, MalformedWireBytesGet400) {
   auto connection = net::tcp_connect(port());
   ASSERT_TRUE(connection.ok());
   ASSERT_TRUE(connection.value()->write("GARBAGE\r\n\r\n").ok());
@@ -129,7 +111,6 @@ TEST(TcpEndToEndDispatch, PooledAppDispatchServesThroughWorkerPool) {
   // pool, responses returning through the completion mailbox.
   util::WallClock clock;
   platform::ProviderConfig config;
-  config.serve_mode = platform::ServeMode::kEventLoop;
   config.app_dispatch = platform::AppDispatch::kPooled;
   platform::Provider provider(std::move(config), clock);
   apps::register_standard_apps(provider);
@@ -152,7 +133,7 @@ TEST(TcpEndToEndDispatch, PooledAppDispatchServesThroughWorkerPool) {
   server_thread.join();
 }
 
-TEST_P(TcpEndToEnd, KeepAliveSessionReusesOneConnection) {
+TEST_F(TcpEndToEnd, KeepAliveSessionReusesOneConnection) {
   // Several requests over one connection: framing, keep-alive, and the
   // gateway's session handling all hold on a reused socket.
   auto connection = net::tcp_connect(port());

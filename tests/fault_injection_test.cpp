@@ -1,7 +1,7 @@
 // The deterministic fault-injection harness (DESIGN.md §12): scripted
 // and seeded fault schedules, retry/backoff, the per-peer circuit
-// breaker, and a seeded chaos sweep over the HTTP server — every suite
-// here replays identically for a fixed seed.
+// breaker, and a seeded chaos sweep over the in-memory HTTP driver —
+// every suite here replays identically for a fixed seed.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -15,7 +15,7 @@
 #include "net/circuit_breaker.h"
 #include "net/fault.h"
 #include "net/http_client.h"
-#include "net/http_server.h"
+#include "net/http_session.h"
 #include "net/transport.h"
 #include "util/clock.h"
 
@@ -333,7 +333,7 @@ TEST(FaultInjectionRetry, NonRetryableStatusReturnsImmediately) {
   EXPECT_EQ(*dials, 1);
 }
 
-// ---- Seeded chaos sweep over the HTTP server -------------------------------
+// ---- Seeded chaos sweep over the in-memory HTTP driver --------------------
 
 struct ChaosTally {
   int handled = 0;
@@ -347,10 +347,10 @@ struct ChaosTally {
   }
 };
 
-// Pushes `requests` well-formed requests through HttpServer, one faulty
-// pipe each, faults drawn from a per-connection seed. Fully virtual: no
-// real sleeping, no real sockets, so the tally is a pure function of
-// (base_seed, profile).
+// Pushes `requests` well-formed requests through serve_inline (the
+// federation wire's driver of HttpSession), one faulty pipe each, faults
+// drawn from a per-connection seed. Fully virtual: no real sleeping, no
+// real sockets, so the tally is a pure function of (base_seed, profile).
 ChaosTally chaos_run(std::uint64_t base_seed, int requests) {
   FaultSchedule::Profile profile;
   profile.delay_probability = 0.05;
@@ -361,9 +361,9 @@ ChaosTally chaos_run(std::uint64_t base_seed, int requests) {
 
   ChaosTally tally;
   FaultStats faults;
-  HttpServer http([](const HttpRequest& request) {
+  const ServerHandler echo = [](const HttpRequest& request) {
     return HttpResponse::text(200, "echo:" + request.body);
-  });
+  };
   for (int i = 0; i < requests; ++i) {
     auto [client, server] = make_pipe();
     HttpRequest request;
@@ -378,8 +378,8 @@ ChaosTally chaos_run(std::uint64_t base_seed, int requests) {
                               profile),
         [&tally](util::Micros delay) { tally.virtual_sleep += delay; },
         &faults);
-    auto handled = http.handle_one(faulty);
-    if (handled.ok() && handled.value()) {
+    auto handled = serve_inline(faulty, echo);
+    if (handled.ok() && handled.value() > 0) {
       ++tally.handled;
     } else if (!handled.ok()) {
       ++tally.errors[handled.error().code];

@@ -90,7 +90,7 @@ TEST(LintTest, FlagsGatewayBypassInclude) {
   // Trips both the named perimeter rule and the layering DAG (apps/ has
   // no edge to net/).
   EXPECT_NE(r.output.find("[perimeter]"), std::string::npos) << r.output;
-  EXPECT_NE(r.output.find("net/http_server.h"), std::string::npos) << r.output;
+  EXPECT_NE(r.output.find("net/http_session.h"), std::string::npos) << r.output;
   EXPECT_NE(r.output.find("[layering]"), std::string::npos) << r.output;
 }
 

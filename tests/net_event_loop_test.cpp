@@ -324,6 +324,19 @@ TEST(EventLoopServer, SlowHeaderClientIsReapedWith408) {
   EXPECT_GE(stats.reaped_total.load(), 1u);
   EXPECT_GE(stats.timeouts_total.load(), 1u);
   EXPECT_GE(conn_stats.timeout_closes_total.load(), 1u);
+
+  // The loop is free again: a well-formed request succeeds promptly.
+  auto healthy = tcp_connect(server.port());
+  ASSERT_TRUE(healthy.ok());
+  HttpRequest request;
+  request.method = Method::kPost;
+  request.target = "/ok";
+  request.body = "after-reap";
+  request.headers.set("Connection", "close");
+  HttpClient http;
+  auto ok = http.roundtrip(*healthy.value(), request);
+  ASSERT_TRUE(ok.ok()) << ok.error().code;
+  EXPECT_EQ(ok.value().body, "echo:after-reap");
 }
 
 TEST(EventLoopServer, StalledBodyIsReapedWith408) {
@@ -342,11 +355,13 @@ TEST(EventLoopServer, StalledBodyIsReapedWith408) {
   ASSERT_TRUE(response.ok()) << response.error().code;
   EXPECT_EQ(response.value().status, 408);
   EXPECT_GE(stats.reaped_total.load(), 1u);
+  EXPECT_GE(stats.timeouts_total.load(), 1u);
 }
 
 TEST(EventLoopServer, IdleKeepAliveConnectionIsClosedSilently) {
   ServerStats stats;
-  ReactorServer server({.options = {.header_deadline_micros = 100'000}});
+  ReactorServer server({.options = {.header_deadline_micros = 100'000},
+                        .stats = &stats});
   auto client = tcp_connect(server.port());
   ASSERT_TRUE(client.ok());
   // Send nothing: the idle cap closes us with a clean EOF, no 408.
@@ -354,6 +369,7 @@ TEST(EventLoopServer, IdleKeepAliveConnectionIsClosedSilently) {
   auto n = client.value()->read(buf, sizeof(buf));
   ASSERT_TRUE(n.ok()) << n.error().code;
   EXPECT_EQ(n.value(), 0u);
+  EXPECT_GE(stats.reaped_total.load(), 1u);
 }
 
 TEST(EventLoopServer, SecondRequestIdleTimeoutAlsoSilent) {
@@ -594,6 +610,7 @@ TEST(EventLoopServer, OverloadShedsWith503AndRetryAfterAtDispatch) {
   EXPECT_EQ(shed.value().headers.get("Retry-After"), "7");
   EXPECT_EQ(shed.value().headers.get("Connection"), "close");
   EXPECT_EQ(stats.shed_total.load(), 1u);
+  EXPECT_EQ(pool.jobs_rejected(), 1u);
 
   {
     std::lock_guard lock(mutex);

@@ -153,7 +153,12 @@ TEST(RequestParserTest, ToleratesLeadingEmptyLines) {
 struct BadRequest {
   const char* wire;
   const char* expected_code;
+  const char* why;
 };
+
+// Test names carry the printed parameter; see PrintTo(BadInput) in
+// util_json_test.cpp.
+void PrintTo(const BadRequest& in, std::ostream* os) { *os << in.why; }
 
 class RequestParserRejects : public ::testing::TestWithParam<BadRequest> {};
 
@@ -167,22 +172,28 @@ TEST_P(RequestParserRejects, MalformedInput) {
 INSTANTIATE_TEST_SUITE_P(
     Cases, RequestParserRejects,
     ::testing::Values(
-        BadRequest{"BREW /pot HTTP/1.1\r\n\r\n", "http.unsupported"},
-        BadRequest{"GET / HTTP/2\r\n\r\n", "http.unsupported"},
-        BadRequest{"GET /\r\n\r\n", "http.parse"},
-        BadRequest{"GET /a b HTTP/1.1\r\n\r\n", "http.parse"},
-        BadRequest{"GET /../x HTTP/1.1\r\n\r\n", "http.parse"},
-        BadRequest{"GET / HTTP/1.1\nHost: x\n\n", "http.parse"},  // bare LF
-        BadRequest{"GET / HTTP/1.1\r\nNoColonHere\r\n\r\n", "http.parse"},
-        BadRequest{"GET / HTTP/1.1\r\nBad : v\r\n\r\n", "http.parse"},
-        BadRequest{"GET / HTTP/1.1\r\nA: 1\r\n folded\r\n\r\n", "http.parse"},
+        BadRequest{"BREW /pot HTTP/1.1\r\n\r\n", "http.unsupported",
+                   "unknown method"},
+        BadRequest{"GET / HTTP/2\r\n\r\n", "http.unsupported", "version 2"},
+        BadRequest{"GET /\r\n\r\n", "http.parse", "missing version"},
+        BadRequest{"GET /a b HTTP/1.1\r\n\r\n", "http.parse",
+                   "space in target"},
+        BadRequest{"GET /../x HTTP/1.1\r\n\r\n", "http.parse",
+                   "dot-dot target"},
+        BadRequest{"GET / HTTP/1.1\nHost: x\n\n", "http.parse", "bare LF"},
+        BadRequest{"GET / HTTP/1.1\r\nNoColonHere\r\n\r\n", "http.parse",
+                   "header without colon"},
+        BadRequest{"GET / HTTP/1.1\r\nBad : v\r\n\r\n", "http.parse",
+                   "space before colon"},
+        BadRequest{"GET / HTTP/1.1\r\nA: 1\r\n folded\r\n\r\n", "http.parse",
+                   "folded header"},
         BadRequest{"GET / HTTP/1.1\r\nContent-Length: xyz\r\n\r\n",
-                   "http.parse"},
+                   "http.parse", "non-numeric Content-Length"},
         BadRequest{
             "GET / HTTP/1.1\r\nContent-Length: 5\r\nContent-Length: 6\r\n\r\n",
-            "http.parse"},
+            "http.parse", "duplicate Content-Length"},
         BadRequest{"POST / HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n",
-                   "http.unsupported"}));
+                   "http.unsupported", "chunked body"}));
 
 TEST(RequestParserTest, EnforcesBodyLimit) {
   RequestParser parser(ParserLimits{.max_body_bytes = 10});

@@ -1,10 +1,12 @@
-// Robustness over real TCP sockets (DESIGN.md §12): slow-client reaping
-// under header/body deadlines, write-timeout reaping of never-draining
-// receivers, admission-control shedding with 503 + Retry-After, and the
-// listener error-path regressions (fd leaks, errno fidelity).
+// Robustness over real TCP sockets (DESIGN.md §12): the provider's front
+// door — ProviderConfig's deadlines and admission limit must reach the
+// one serving engine, and its reaps and sheds must show in the counters
+// /metrics exports — plus write timeouts on never-draining receivers,
+// slow-but-live readers, read timeouts, and the listener error-path
+// regressions (fd leaks, errno fidelity). The bare reactor's own cases
+// live in net_event_loop_test.cpp.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <dirent.h>
@@ -12,30 +14,15 @@
 #include <string>
 #include <thread>
 
+#include "core/provider.h"
 #include "net/http_client.h"
-#include "net/http_server.h"
 #include "net/tcp.h"
-#include "os/thread_pool.h"
 #include "util/clock.h"
 
 namespace w5::net {
 namespace {
 
 using namespace std::chrono_literals;
-
-// Open fds for this process — the leak detector for listener tests.
-int open_fd_count() {
-  int count = 0;
-  DIR* dir = opendir("/proc/self/fd");
-  if (dir == nullptr) return -1;
-  while (readdir(dir) != nullptr) ++count;
-  closedir(dir);
-  return count;
-}
-
-HttpResponse echo_handler(const HttpRequest& request) {
-  return HttpResponse::text(200, "echo:" + request.body);
-}
 
 // Reads one full HTTP response off a raw connection (blocking reads).
 util::Result<HttpResponse> read_response(Connection& connection) {
@@ -53,47 +40,54 @@ util::Result<HttpResponse> read_response(Connection& connection) {
   return parser.take();
 }
 
-// Serves exactly the accepted connections of one listener on one thread
-// with the given options, for deadline tests that need a real socket.
-class OneShotServer {
+// A provider serving one listener on its own thread.
+class FrontDoor {
  public:
-  explicit OneShotServer(ServerOptions options, ServerStats* stats = nullptr)
-      : server_(echo_handler, ParserLimits{}, options, stats) {
+  explicit FrontDoor(platform::ProviderConfig config)
+      : provider_(std::move(config), clock_) {
     EXPECT_TRUE(listener_.listen(0).ok());
-    thread_ = std::thread([this] {
-      while (true) {
-        auto accepted = listener_.accept();
-        if (!accepted.ok()) return;
-        server_.serve(*accepted.value());
-      }
-    });
+    thread_ = std::thread([this] { provider_.serve(listener_); });
   }
 
-  ~OneShotServer() {
+  ~FrontDoor() {
     listener_.close();
-    (void)tcp_connect(listener_.port());  // poke accept() loose
     thread_.join();
   }
 
+  platform::Provider& provider() { return provider_; }
   std::uint16_t port() const { return listener_.port(); }
 
+  // GET /stats on a fresh connection: a request any provider answers.
+  util::Result<HttpResponse> get_stats() {
+    auto connection = tcp_connect(port());
+    if (!connection.ok()) return connection.error();
+    HttpRequest request;
+    request.target = "/stats";
+    request.headers.set("Connection", "close");
+    HttpClient http;
+    return http.roundtrip(*connection.value(), request);
+  }
+
  private:
-  HttpServer server_;
+  util::WallClock clock_;
+  platform::Provider provider_;
   TcpListener listener_;
   std::thread thread_;
 };
 
+platform::ProviderConfig with_robustness(ServerOptions options) {
+  platform::ProviderConfig config;
+  config.http_robustness = options;
+  return config;
+}
+
 TEST(NetRobustness, SlowHeaderClientIsReapedWithin408) {
-  ServerStats stats;
-  OneShotServer server(
-      ServerOptions{.header_deadline_micros = 150'000,
-                    .write_timeout_micros = 500'000,
-                    .io_poll_micros = 10'000},
-      &stats);
-  auto client = tcp_connect(server.port());
+  FrontDoor door(with_robustness({.header_deadline_micros = 150'000,
+                                  .write_timeout_micros = 500'000}));
+  auto client = tcp_connect(door.port());
   ASSERT_TRUE(client.ok());
-  // Half a request line, then silence: the server must reap us with a
-  // 408 rather than parking a worker forever.
+  // Half a request line, then silence: the provider must reap us with a
+  // 408 rather than hold the connection forever.
   ASSERT_TRUE(client.value()->write("GET /slow HT").ok());
   const auto started = std::chrono::steady_clock::now();
   auto response = read_response(*client.value());
@@ -101,34 +95,21 @@ TEST(NetRobustness, SlowHeaderClientIsReapedWithin408) {
   ASSERT_TRUE(response.ok()) << response.error().code;
   EXPECT_EQ(response.value().status, 408);
   EXPECT_EQ(response.value().headers.get("Connection"), "close");
-  // "Within the deadline": poll quantum + deadline + slack, far below
-  // a blocking-forever hang.
   EXPECT_LT(elapsed, 2s);
-  EXPECT_GE(stats.reaped_total.load(), 1u);
+  EXPECT_GE(door.provider().server_stats().reaped_total.load(), 1u);
+  EXPECT_GE(door.provider().conn_stats().timeout_closes_total.load(), 1u);
 
-  // The worker is free again: a well-formed request succeeds promptly.
-  auto healthy = tcp_connect(server.port());
-  ASSERT_TRUE(healthy.ok());
-  HttpRequest request;
-  request.method = Method::kPost;
-  request.target = "/ok";
-  request.body = "after-reap";
-  request.headers.set("Connection", "close");
-  HttpClient http;
-  auto ok = http.roundtrip(*healthy.value(), request);
-  ASSERT_TRUE(ok.ok()) << ok.error().code;
-  EXPECT_EQ(ok.value().body, "echo:after-reap");
+  // The provider is free again: a well-formed request succeeds promptly.
+  auto healthy = door.get_stats();
+  ASSERT_TRUE(healthy.ok()) << healthy.error().code;
+  EXPECT_EQ(healthy.value().status, 200);
 }
 
 TEST(NetRobustness, StalledBodyIsReaped) {
-  ServerStats stats;
-  OneShotServer server(
-      ServerOptions{.header_deadline_micros = 500'000,
-                    .body_deadline_micros = 150'000,
-                    .write_timeout_micros = 500'000,
-                    .io_poll_micros = 10'000},
-      &stats);
-  auto client = tcp_connect(server.port());
+  FrontDoor door(with_robustness({.header_deadline_micros = 500'000,
+                                  .body_deadline_micros = 150'000,
+                                  .write_timeout_micros = 500'000}));
+  auto client = tcp_connect(door.port());
   ASSERT_TRUE(client.ok());
   // Complete headers declaring a body that never arrives in full.
   ASSERT_TRUE(client.value()
@@ -138,16 +119,13 @@ TEST(NetRobustness, StalledBodyIsReaped) {
   auto response = read_response(*client.value());
   ASSERT_TRUE(response.ok()) << response.error().code;
   EXPECT_EQ(response.value().status, 408);
-  EXPECT_GE(stats.reaped_total.load(), 1u);
-  EXPECT_GE(stats.timeouts_total.load(), 1u);
+  EXPECT_GE(door.provider().server_stats().reaped_total.load(), 1u);
+  EXPECT_GE(door.provider().server_stats().timeouts_total.load(), 1u);
 }
 
 TEST(NetRobustness, IdleKeepAliveConnectionIsClosedWithout408) {
-  ServerStats stats;
-  OneShotServer server(ServerOptions{.header_deadline_micros = 100'000,
-                                     .io_poll_micros = 10'000},
-                       &stats);
-  auto client = tcp_connect(server.port());
+  FrontDoor door(with_robustness({.header_deadline_micros = 100'000}));
+  auto client = tcp_connect(door.port());
   ASSERT_TRUE(client.ok());
   // Send nothing at all. The idle connection is reaped silently: EOF,
   // no 408 (nothing was asked, nothing is owed).
@@ -155,7 +133,64 @@ TEST(NetRobustness, IdleKeepAliveConnectionIsClosedWithout408) {
   auto n = client.value()->read(buf, sizeof(buf));
   ASSERT_TRUE(n.ok()) << n.error().code;
   EXPECT_EQ(n.value(), 0u);  // clean EOF
-  EXPECT_GE(stats.reaped_total.load(), 1u);
+  EXPECT_GE(door.provider().server_stats().reaped_total.load(), 1u);
+}
+
+TEST(NetRobustness, OverloadShedsWith503AndRetryAfter) {
+  // Pooled dispatch on 1 worker with a queue of 1: once both are taken,
+  // the next request is shed at dispatch with 503 + Retry-After.
+  platform::ProviderConfig config;
+  config.app_dispatch = platform::AppDispatch::kPooled;
+  config.worker_threads = 1;
+  config.max_queued_connections = 1;
+  config.http_robustness.retry_after_seconds = 7;
+  FrontDoor door(std::move(config));
+  os::ThreadPool& pool = door.provider().worker_pool();
+
+  std::mutex mutex;
+  std::condition_variable cv;
+  bool release = false;
+  const auto blocker = [&] {
+    std::unique_lock lock(mutex);
+    cv.wait(lock, [&] { return release; });
+  };
+  // Occupy the worker first (wait until its job is actually *running*, so
+  // the next job queues instead of racing for the same worker)...
+  ASSERT_TRUE(pool.try_submit(blocker));
+  for (int i = 0; i < 2000 && pool.active() < 1; ++i)
+    std::this_thread::sleep_for(1ms);
+  ASSERT_EQ(pool.active(), 1u);
+  // ...then the queue.
+  ASSERT_TRUE(pool.try_submit(blocker));
+  ASSERT_EQ(pool.pending(), 1u);
+
+  auto shed = door.get_stats();
+  ASSERT_TRUE(shed.ok()) << shed.error().code;
+  EXPECT_EQ(shed.value().status, 503);
+  EXPECT_EQ(shed.value().headers.get("Retry-After"), "7");
+  EXPECT_EQ(shed.value().headers.get("Connection"), "close");
+  EXPECT_EQ(door.provider().server_stats().shed_total.load(), 1u);
+  EXPECT_EQ(pool.jobs_rejected(), 1u);
+
+  {
+    std::lock_guard lock(mutex);
+    release = true;
+  }
+  cv.notify_all();
+  pool.drain();
+  auto served = door.get_stats();  // admitted again once the pool drains
+  ASSERT_TRUE(served.ok()) << served.error().code;
+  EXPECT_EQ(served.value().status, 200);
+}
+
+// Open fds for this process — the leak detector for listener tests.
+int open_fd_count() {
+  int count = 0;
+  DIR* dir = opendir("/proc/self/fd");
+  if (dir == nullptr) return -1;
+  while (readdir(dir) != nullptr) ++count;
+  closedir(dir);
+  return count;
 }
 
 TEST(NetRobustness, WriteTimeoutReapsNeverDrainingReceiver) {
@@ -204,80 +239,6 @@ TEST(NetRobustness, SlowlyDrainedLargeWriteStillCompletes) {
   EXPECT_TRUE(accepted.value()->write(std::string(total, 'y')).ok());
   reader.join();
   listener.close();
-}
-
-TEST(NetRobustness, OverloadShedsWith503AndRetryAfter) {
-  // 1 worker, queue of 1: the third concurrent connection must shed.
-  os::ThreadPool pool(1, 1);
-  ServerStats stats;
-  std::mutex mutex;
-  std::condition_variable cv;
-  bool release = false;
-  PooledHttpServer server(
-      [&](const HttpRequest& request) {
-        if (request.parsed.path == "/block") {
-          std::unique_lock lock(mutex);
-          cv.wait(lock, [&] { return release; });
-        }
-        return HttpResponse::text(200, "done");
-      },
-      [&pool](std::function<void()> job) {
-        return pool.try_submit(std::move(job));
-      },
-      ParserLimits{}, ServerOptions{.retry_after_seconds = 7}, &stats);
-
-  TcpListener listener;
-  ASSERT_TRUE(listener.listen(0).ok());
-  std::thread accept_thread([&] { server.serve(listener); });
-
-  const auto send_blocking_request =
-      [&]() -> std::unique_ptr<Connection> {
-    auto connection = tcp_connect(listener.port());
-    EXPECT_TRUE(connection.ok());
-    if (!connection.ok()) return nullptr;
-    HttpRequest request;
-    request.target = "/block";
-    request.headers.set("Connection", "close");
-    EXPECT_TRUE(connection.value()->write(request.to_wire()).ok());
-    return std::move(connection).value();
-  };
-  // Fill the worker first (wait until its job is actually *running*, so
-  // the next job queues instead of racing for the same worker)...
-  auto busy1 = send_blocking_request();
-  ASSERT_NE(busy1, nullptr);
-  for (int i = 0; i < 2000 && pool.active() < 1; ++i)
-    std::this_thread::sleep_for(1ms);
-  ASSERT_EQ(pool.active(), 1u);
-  // ...then the queue.
-  auto busy2 = send_blocking_request();
-  ASSERT_NE(busy2, nullptr);
-  for (int i = 0; i < 2000 && pool.pending() < 1; ++i)
-    std::this_thread::sleep_for(1ms);
-  ASSERT_EQ(pool.pending(), 1u);
-
-  auto shed = tcp_connect(listener.port());
-  ASSERT_TRUE(shed.ok());
-  auto response = read_response(*shed.value());
-  ASSERT_TRUE(response.ok()) << response.error().code;
-  EXPECT_EQ(response.value().status, 503);
-  EXPECT_EQ(response.value().headers.get("Retry-After"), "7");
-  EXPECT_EQ(stats.shed_total.load(), 1u);
-  EXPECT_EQ(pool.jobs_rejected(), 1u);
-
-  {
-    std::lock_guard lock(mutex);
-    release = true;
-  }
-  cv.notify_all();
-  auto r1 = read_response(*busy1);
-  auto r2 = read_response(*busy2);
-  EXPECT_TRUE(r1.ok() && r1.value().status == 200);
-  EXPECT_TRUE(r2.ok() && r2.value().status == 200);
-
-  listener.close();
-  (void)tcp_connect(listener.port());
-  accept_thread.join();
-  pool.shutdown();
 }
 
 TEST(NetRobustness, ListenFailurePathsLeakNoFds) {

@@ -3,7 +3,8 @@
 #include <thread>
 
 #include "net/http_client.h"
-#include "net/http_server.h"
+#include "net/event_loop_server.h"
+#include "net/http_session.h"
 #include "net/router.h"
 #include "net/tcp.h"
 #include "net/transport.h"
@@ -78,10 +79,9 @@ TEST(HttpServerTest, ServesOneRequestOverPipe) {
   request.body = "data";
   ASSERT_TRUE(client->write(request.to_wire()).ok());
 
-  HttpServer http(echo_handler);
-  auto handled = http.handle_one(*server);
+  auto handled = serve_inline(*server, echo_handler);
   ASSERT_TRUE(handled.ok());
-  EXPECT_TRUE(handled.value());
+  EXPECT_EQ(handled.value(), 1u);
 
   ResponseParser parser;
   auto bytes = client->read_available();
@@ -93,16 +93,18 @@ TEST(HttpServerTest, ServesOneRequestOverPipe) {
 
 TEST(HttpServerTest, KeepAliveHandlesSequentialRequests) {
   auto [client, server] = make_pipe();
-  HttpServer http(echo_handler);
   HttpClient http_client;
 
   for (int i = 0; i < 3; ++i) {
     HttpRequest request;
     request.target = "/r" + std::to_string(i);
     ASSERT_TRUE(client->write(request.to_wire()).ok());
-    auto handled = http.handle_one(*server);
+    // Each pump serves what is buffered and returns at would-block,
+    // leaving the keep-alive connection open for the next request.
+    auto handled = serve_inline(*server, echo_handler);
     ASSERT_TRUE(handled.ok());
-    ASSERT_TRUE(handled.value());
+    ASSERT_EQ(handled.value(), 1u);
+    ASSERT_FALSE(server->closed());
     ResponseParser parser;
     parser.feed(client->read_available().value());
     ASSERT_TRUE(parser.complete());
@@ -115,8 +117,7 @@ TEST(HttpServerTest, ConnectionCloseHonored) {
   HttpRequest request;
   request.headers.set("Connection", "close");
   ASSERT_TRUE(client->write(request.to_wire()).ok());
-  HttpServer http(echo_handler);
-  auto handled = http.handle_one(*server);
+  auto handled = serve_inline(*server, echo_handler);
   ASSERT_TRUE(handled.ok());
   EXPECT_TRUE(server->closed());
   ResponseParser parser;
@@ -128,8 +129,7 @@ TEST(HttpServerTest, ConnectionCloseHonored) {
 TEST(HttpServerTest, MalformedRequestGets400AndClose) {
   auto [client, server] = make_pipe();
   ASSERT_TRUE(client->write("NONSENSE\r\n\r\n").ok());
-  HttpServer http(echo_handler);
-  auto handled = http.handle_one(*server);
+  auto handled = serve_inline(*server, echo_handler);
   EXPECT_FALSE(handled.ok());
   ResponseParser parser;
   parser.feed(client->read_available().value());
@@ -144,8 +144,8 @@ TEST(HttpServerTest, OversizedRequestGets413) {
   request.method = Method::kPost;
   request.body = std::string(100, 'x');
   ASSERT_TRUE(client->write(request.to_wire()).ok());
-  HttpServer http(echo_handler, ParserLimits{.max_body_bytes = 10});
-  auto handled = http.handle_one(*server);
+  auto handled =
+      serve_inline(*server, echo_handler, ParserLimits{.max_body_bytes = 10});
   EXPECT_FALSE(handled.ok());
   ResponseParser parser;
   parser.feed(client->read_available().value());
@@ -156,18 +156,33 @@ TEST(HttpServerTest, OversizedRequestGets413) {
 TEST(HttpServerTest, TruncatedRequestReports400) {
   auto [client, server] = make_pipe();
   ASSERT_TRUE(client->write("GET / HTTP/1.1\r\nHos").ok());  // cut mid-header
-  HttpServer http(echo_handler);
-  auto handled = http.handle_one(*server);
+  auto handled = serve_inline(*server, echo_handler);
   EXPECT_FALSE(handled.ok());
   EXPECT_EQ(handled.error().code, "http.incomplete");
+  ResponseParser parser;
+  parser.feed(client->read_available().value());
+  ASSERT_TRUE(parser.complete());
+  EXPECT_EQ(parser.take().status, 400);
+  EXPECT_TRUE(server->closed());
 }
 
 TEST(HttpServerTest, IdleConnectionReturnsFalse) {
   auto [client, server] = make_pipe();
-  HttpServer http(echo_handler);
-  auto handled = http.handle_one(*server);
+  auto handled = serve_inline(*server, echo_handler);
   ASSERT_TRUE(handled.ok());
-  EXPECT_FALSE(handled.value());
+  EXPECT_EQ(handled.value(), 0u);
+  EXPECT_FALSE(server->closed());
+}
+
+TEST(HttpServerTest, PeerHangupBetweenRequestsClosesServerEnd) {
+  // A dialer that hung up leaves EOF behind; the pump closes its end, so
+  // fed::Node drops the connection instead of re-reading it forever.
+  auto [client, server] = make_pipe();
+  client->close();
+  auto handled = serve_inline(*server, echo_handler);
+  ASSERT_TRUE(handled.ok());
+  EXPECT_EQ(handled.value(), 0u);
+  EXPECT_TRUE(server->closed());
 }
 
 TEST(RouterTest, MatchesLiteralParamAndWildcard) {
@@ -244,12 +259,12 @@ TEST(TcpTest, RoundTripOverRealSockets) {
   const std::uint16_t port = listener.port();
   ASSERT_GT(port, 0);
 
-  std::thread server_thread([&] {
-    auto conn = listener.accept();
-    ASSERT_TRUE(conn.ok());
-    HttpServer http(echo_handler);
-    http.serve(*conn.value());
+  EventLoopHttpServer http(echo_handler, [](std::function<void()> job) {
+    job();
+    return true;
   });
+  std::size_t accepted = 0;
+  std::thread server_thread([&] { accepted = http.serve(listener); });
 
   auto client = tcp_connect(port);
   ASSERT_TRUE(client.ok());
@@ -264,8 +279,9 @@ TEST(TcpTest, RoundTripOverRealSockets) {
   EXPECT_EQ(response.value().status, 200);
   EXPECT_EQ(response.value().body, "POST /tcp body=over the wire");
   client.value()->close();
-  server_thread.join();
   listener.close();
+  server_thread.join();
+  EXPECT_EQ(accepted, 1u);
 }
 
 }  // namespace

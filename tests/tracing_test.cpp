@@ -274,7 +274,13 @@ TEST_F(DebugPlaneTest, StatuszAggregatesInfrastructureState) {
   ASSERT_TRUE(parsed.ok()) << response.body;
   const util::Json& statusz = parsed.value();
   EXPECT_EQ(statusz.at("provider").as_string(), "w5.org");
-  EXPECT_EQ(statusz.at("serving").at("mode").as_string(), "event_loop");
+  const util::Json& serving = statusz.at("serving");
+  EXPECT_FALSE(serving.contains("mode"));  // one engine: nothing to report
+  EXPECT_EQ(serving.at("app_dispatch").as_string(), "inline");
+  EXPECT_EQ(serving.at("io_threads").as_int(), 1);
+  EXPECT_TRUE(serving.contains("worker_threads"));
+  EXPECT_TRUE(serving.contains("max_queued_connections"));
+  EXPECT_TRUE(serving.at("requests").contains("handled"));
   EXPECT_TRUE(statusz.at("build").contains("compiled"));
   EXPECT_TRUE(statusz.at("durability").contains("enabled"));
   EXPECT_TRUE(statusz.at("fed_breakers").is_object());

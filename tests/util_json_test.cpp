@@ -84,6 +84,11 @@ struct BadInput {
   const char* why;
 };
 
+// Test names carry the printed parameter. Printing the description keeps
+// them stable; gtest's default prints the two pointers' bytes, which move
+// with every build and every address-space layout.
+void PrintTo(const BadInput& in, std::ostream* os) { *os << in.why; }
+
 class JsonRejects : public ::testing::TestWithParam<BadInput> {};
 
 TEST_P(JsonRejects, MalformedInput) {

@@ -11,8 +11,9 @@
 //   perimeter   Raw socket/file-descriptor writes (::send, ::write and
 //               friends) appear only in net/ and os/ — everything else
 //               must go through the gateway/declassifier surface. apps/
-//               must not include net/http_server.h (apps never construct
-//               externally-bound responses themselves).
+//               must not include the server headers
+//               (net/event_loop_server.h, net/http_session.h): apps
+//               never construct externally-bound responses themselves.
 //   telemetry   telemetry/debug planes (util/metrics, core/trace,
 //               core/flight_recorder, core/statusz, net/tracing) never
 //               include store/record.h (§3.5: telemetry carries no user
@@ -290,10 +291,12 @@ class Linter {
                  dir + "/ must not include " + inc_dir + "/ (\"" + inc +
                      "\"): frozen DAG edge missing — see DESIGN.md §14");
         }
-        if (dir == "apps" && inc == "net/http_server.h") {
+        if (dir == "apps" && (inc == "net/event_loop_server.h" ||
+                              inc == "net/http_session.h")) {
           report("perimeter", rel, lineno,
-                 "apps/ must not include net/http_server.h — responses "
-                 "leave only through the gateway/declassifier (§3.1)");
+                 "apps/ must not include " + inc +
+                     " — responses leave only through the "
+                     "gateway/declassifier (§3.1)");
         }
         if (telemetry_file &&
             std::find(kRecordHeaders.begin(), kRecordHeaders.end(), inc) !=
