@@ -216,7 +216,7 @@ void run_cutoff(benchmark::State& state, w5::util::Micros budget,
   w5::fed::MetasearchConfig config;
   config.fanout_budget_micros = budget;
   MetaFixture fx(2, config);
-  fx.meta->set_connection_decorator(
+  fx.home_node.set_connection_decorator(
       [](const std::string& peer, std::unique_ptr<w5::net::Connection> inner)
           -> std::unique_ptr<w5::net::Connection> {
         if (peer != "peer1") return inner;

@@ -135,10 +135,10 @@ fi
 echo "== Tier-1: tests =="
 (cd build && ctest --output-on-failure -j "$jobs")
 
-echo "== Chaos: fault-injection + robustness suites =="
+echo "== Chaos: fault-injection, robustness + seeded federation chaos suites =="
 # Redundant with ctest above but cheap, and keeps the deterministic
 # chaos suites an explicitly named stage a CI job can report on.
-./build/tests/w5_tests --gtest_filter='*FaultInjection*:*NetRobustness*' \
+./build/tests/w5_tests --gtest_filter='*FaultInjection*:*NetRobustness*:*Chaos*:*FedTracing*' \
   --gtest_brief=1
 
 durability_stage

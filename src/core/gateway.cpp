@@ -114,30 +114,12 @@ net::HttpResponse Gateway::handle(const net::HttpRequest& request) {
   // The W5_NO_TELEMETRY baseline must not pay for clock reads or header
   // stamping either — the whole plane compiles down to a bare dispatch.
   if constexpr (!util::kTelemetryEnabled) return router_.dispatch(request);
-  // A validated inbound X-W5-Trace continues an upstream trace (federation
-  // peers forward it); anything else mints a fresh id. The context is
-  // thread-local-current for the duration, so spans recorded anywhere
-  // below land in this request's trace.
-  // Ablation escape hatch, read once: getenv scans the whole environment
-  // block, which is too expensive to pay per request.
-  static const bool bare_dispatch = getenv("W5_ABL_BARE") != nullptr;
-  if (bare_dispatch) return router_.dispatch(request);
-  const auto inherited = request.headers.get("X-W5-Trace");
-  // X-W5-Sampled propagates the upstream sampling decision: "0" keeps an
-  // inherited id from forcing spans on, "1" forces them on.
-  RequestContext::Sampling sampling = RequestContext::Sampling::kInherit;
-  if (const auto sampled = request.headers.get("X-W5-Sampled")) {
-    if (*sampled == "0") sampling = RequestContext::Sampling::kOff;
-    if (*sampled == "1") sampling = RequestContext::Sampling::kOn;
-  }
-  RequestContext context(inherited ? std::string_view(*inherited)
-                                   : std::string_view{},
-                         sampling);
-  // The caller's span id (digits only) — recorded so the stitched tree
-  // shows which upstream span this whole request hangs under.
-  if (const auto parent = request.headers.get("X-W5-Parent")) {
-    if (util::parse_u64(*parent)) context.set_parent_span(*parent);
-  }
+  // The trace perimeter (DESIGN.md §16): a validated inbound X-W5-Trace
+  // continues an upstream trace (federation peers forward it); anything
+  // else mints a fresh id. The context is thread-local-current for the
+  // duration, so spans recorded anywhere below land in this request's
+  // trace.
+  RequestContext context(request);
   // Deadline propagation (DESIGN.md §12): stamp the request's wall-clock
   // budget into the context at admission. A client X-W5-Deadline-Ms can
   // only tighten the provider default, never extend it.
@@ -168,18 +150,8 @@ net::HttpResponse Gateway::handle(const net::HttpRequest& request) {
   }
   if (pattern != nullptr) context.set_route(*pattern);
   if (route_index < route_hits_.size()) route_hits_[route_index]->inc();
-  context.set_status(response.status);
-  if (!context.id().empty())
-    response.headers.set("X-W5-Trace", context.id());
-  Trace trace = context.finish();  // stamps the total duration
-  // Cross-hop stitching: a caller that forwarded its trace id gets this
-  // request's span dump back in the response, offsets relative to our
-  // request start (the caller rebases onto its own clock). Only for
-  // inherited ids — a trace root has nobody to stitch into.
-  if (context.inherited() && trace.sampled) {
-    std::string wire = encode_spans_for_wire(trace);
-    if (!wire.empty()) response.headers.set("X-W5-Spans", std::move(wire));
-  }
+  // Status, id echo and (for a stitched caller) the span dump.
+  Trace trace = context.finish(response);
   request_latency_->observe_with_exemplar(trace.duration, trace.id);
   if (const util::Micros slow_after = provider_.config().slow_request_micros;
       slow_after > 0 && trace.duration >= slow_after)

@@ -4,7 +4,6 @@
 #include "core/statusz.h"
 #include "difc/codec.h"
 #include "net/cookies.h"
-#include "net/tracing.h"
 #include "util/log.h"
 
 #include <fstream>
@@ -21,20 +20,6 @@ Provider::Provider(ProviderConfig config, const util::Clock& clock)
       sessions_(clock, config_.session_ttl_micros),
       audit_(clock),
       loop_stats_(config_.io_threads == 0 ? 1 : config_.io_threads) {
-  // Outbound hops (HttpClient, federation pulls) stamp the active
-  // request's trace headers; the hook is process-global and reads the
-  // thread-local context, so re-installation by later providers is
-  // idempotent in effect.
-  net::set_outbound_trace_provider([](net::TraceHeaders* out) {
-    RequestContext* context = RequestContext::current();
-    if (context == nullptr || context->id().empty()) return false;
-    out->trace_id = context->id();
-    out->parent_span = context->current_parent() != 0
-                           ? std::to_string(context->current_parent())
-                           : std::string();
-    out->sampled = context->spans_enabled();
-    return true;
-  });
   // The standard declassifier library every provider ships (§3.1: "casual
   // W5 users will authorize only a small handful of reputable
   // declassifiers").
@@ -161,7 +146,6 @@ os::ThreadPool& Provider::worker_pool() {
 }
 
 std::size_t Provider::serve(net::TcpListener& listener) {
-  os::ThreadPool& pool = worker_pool();
   net::EventLoopOptions loop_options;
   loop_options.io_threads = config_.io_threads;
   // ---- Reactor telemetry (DESIGN.md §16) ---------------------------------
@@ -251,13 +235,15 @@ std::size_t Provider::serve(net::TcpListener& listener) {
   // blocking handlers off the loops; admission control (DESIGN.md §12)
   // is try_submit: when the queue is at max_queued_connections the
   // request is shed with 503 + Retry-After instead of queueing without
-  // bound.
+  // bound. The pool is started only for pooled dispatch: inline serving
+  // never submits a job to it.
+  const bool pooled = config_.app_dispatch == AppDispatch::kPooled;
   net::BoundedExecutor dispatch = [](std::function<void()> job) {
     job();
     return true;
   };
-  if (config_.app_dispatch == AppDispatch::kPooled)
-    dispatch = [&pool](std::function<void()> job) {
+  if (pooled)
+    dispatch = [&pool = worker_pool()](std::function<void()> job) {
       return pool.try_submit(std::move(job));
     };
   net::EventLoopHttpServer server([this](const net::HttpRequest& request) {
@@ -268,7 +254,8 @@ std::size_t Provider::serve(net::TcpListener& listener) {
                                   config_.http_robustness, loop_options,
                                   &server_stats_, &conn_stats_);
   const std::size_t accepted = server.serve(listener);
-  pool.drain();  // in-flight handlers post into the server's mailboxes
+  // In-flight pooled handlers post into the server's mailboxes.
+  if (pooled) worker_pool().drain();
   return accepted;
 }
 

@@ -223,8 +223,9 @@ class Provider {
   // the number of connections accepted.
   std::size_t serve(net::TcpListener& listener);
 
-  // The pool behind serve(), created lazily (tests that never serve()
-  // spawn no threads).
+  // The AppDispatch::kPooled handler pool, created on first use: serve()
+  // starts it only under pooled dispatch, so inline serving (the default)
+  // and tests that never serve() spawn no worker threads.
   os::ThreadPool& worker_pool();
   // Non-spawning view for /metrics: null until worker_pool() has run, so
   // a scrape never starts threads as a side effect.

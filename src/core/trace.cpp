@@ -5,7 +5,9 @@
 #include <chrono>
 #include <limits>
 
+#include "net/tracing.h"
 #include "util/log.h"
+#include "util/strings.h"
 
 namespace w5::platform {
 
@@ -83,16 +85,6 @@ std::string next_trace_id() {
   x *= 0x94d049bb133111ebULL;
   x ^= x >> 31;
   return to_hex12(x >> 16);  // top 48 bits of the mixed value
-}
-
-bool valid_trace_id(std::string_view id) {
-  if (id.empty() || id.size() > 64) return false;
-  for (const char c : id) {
-    const bool ok = (c >= '0' && c <= '9') || (c >= 'a' && c <= 'z') ||
-                    (c >= 'A' && c <= 'Z') || c == '_' || c == '-';
-    if (!ok) return false;
-  }
-  return true;
 }
 
 util::Json Trace::to_json() const {
@@ -239,7 +231,7 @@ RequestContext::RequestContext(std::string_view inherited_id,
   // Per-thread sampling counter: same 1-in-N rate overall, no shared
   // cache line on the request path.
   thread_local std::uint64_t sample_counter = 0;
-  if (valid_trace_id(inherited_id)) {
+  if (net::valid_trace_token(inherited_id)) {
     trace_.id = std::string(inherited_id);
     inherited_ = true;
     spans_enabled_ = true;  // the caller asked for this trace by id
@@ -264,6 +256,28 @@ RequestContext::RequestContext(std::string_view inherited_id,
 #endif
 }
 
+namespace {
+
+RequestContext::Sampling sampling_of(const net::HttpRequest& request) {
+  const auto sampled = request.headers.get(net::kSampledHeader);
+  if (sampled && *sampled == "0") return RequestContext::Sampling::kOff;
+  if (sampled && *sampled == "1") return RequestContext::Sampling::kOn;
+  return RequestContext::Sampling::kInherit;
+}
+
+}  // namespace
+
+RequestContext::RequestContext(const net::HttpRequest& request)
+    : RequestContext(request.headers.get(net::kTraceHeader).value_or(""),
+                     sampling_of(request)) {
+  if (!installed_) return;
+  // The caller's span id (digits only) — recorded so the stitched tree
+  // shows which upstream span this whole request hangs under.
+  if (auto parent = request.headers.get(net::kParentHeader);
+      parent && util::parse_u64(*parent))
+    trace_.parent_span = std::move(*parent);
+}
+
 RequestContext::~RequestContext() {
   if (installed_ && t_current == this) {
     t_current = previous_;
@@ -280,11 +294,6 @@ void RequestContext::set_route(std::string_view stable_route) {
 void RequestContext::set_status(int status) {
   if (!installed_) return;
   trace_.status = status;
-}
-
-void RequestContext::set_parent_span(std::string parent) {
-  if (!installed_) return;
-  trace_.parent_span = std::move(parent);
 }
 
 void RequestContext::add_span(std::string_view name,
@@ -359,6 +368,47 @@ Trace RequestContext::finish() {
     remote_spans_.clear();
   }
   return std::move(trace_);
+}
+
+Trace RequestContext::finish(net::HttpResponse& response) {
+  set_status(response.status);
+  if (!trace_.id.empty())
+    response.headers.set(std::string(net::kTraceHeader), trace_.id);
+  Trace trace = finish();
+  // Offsets in the dump are relative to our request start; the caller
+  // rebases them onto its own clock.
+  if (inherited_ && trace.sampled) {
+    std::string wire = encode_spans_for_wire(trace);
+    if (!wire.empty())
+      response.headers.set(std::string(net::kSpansHeader), std::move(wire));
+  }
+  return trace;
+}
+
+void stamp_outbound(net::HttpRequest& request, std::uint32_t hop_span) {
+  const RequestContext* context = RequestContext::current();
+  if (context == nullptr || context->id().empty()) return;
+  request.headers.set(std::string(net::kTraceHeader), context->id());
+  if (hop_span != 0)
+    request.headers.set(std::string(net::kParentHeader),
+                        std::to_string(hop_span));
+  request.headers.set(std::string(net::kSampledHeader),
+                      context->spans_enabled() ? "1" : "0");
+}
+
+void graft_remote_spans(const net::HttpResponse& response,
+                        std::string_view peer, std::uint32_t hop_span,
+                        std::uint64_t hop_start_cycles) {
+  RequestContext* context = RequestContext::current();
+  if (context == nullptr || !context->spans_enabled()) return;
+  const auto header = response.headers.get(net::kSpansHeader);
+  if (!header) return;
+  std::vector<TraceSpan> remote = decode_remote_spans(*header, peer);
+  if (remote.empty()) return;
+  const std::uint32_t saved = context->current_parent();
+  context->set_current_parent(hop_span);
+  context->add_remote_spans(std::move(remote), hop_start_cycles);
+  context->set_current_parent(saved);
 }
 
 void RequestContext::set_deadline(util::Micros absolute_micros) {

@@ -23,6 +23,7 @@
 #include <string_view>
 #include <vector>
 
+#include "net/http.h"
 #include "util/clock.h"
 #include "util/thread_annotations.h"
 #include "util/json.h"
@@ -159,6 +160,12 @@ class RequestContext {
   // so wall time is the more useful of the two.
   explicit RequestContext(std::string_view inherited_id = {},
                           Sampling sampling = Sampling::kInherit);
+  // The inbound half of the trace perimeter (DESIGN.md §16), shared by
+  // every serving surface (gateway, federation node): continues the trace
+  // a validated X-W5-Trace names, applies the X-W5-Sampled override
+  // ("0" off, "1" on) and records a digits-only X-W5-Parent; any other
+  // request starts a fresh trace.
+  explicit RequestContext(const net::HttpRequest& request);
   ~RequestContext();
 
   RequestContext(const RequestContext&) = delete;
@@ -166,10 +173,6 @@ class RequestContext {
 
   const std::string& id() const noexcept { return trace_.id; }
   bool spans_enabled() const noexcept { return spans_enabled_; }
-  // True when the id was inherited from a validated inbound X-W5-Trace —
-  // the caller is part of a larger trace, so the response should carry
-  // the span dump (X-W5-Spans) back for stitching.
-  bool inherited() const noexcept { return inherited_; }
 
   // ---- Span tree bookkeeping (DESIGN.md §16) -----------------------------
   // Span ids are per-request ordinals handed out at span *open* so a
@@ -180,9 +183,6 @@ class RequestContext {
   void set_current_parent(std::uint32_t id) noexcept {
     current_parent_ = id;
   }
-
-  // Upstream span id from an inbound X-W5-Parent header (digits only).
-  void set_parent_span(std::string parent);
 
   // `stable_route` must outlive the TraceBuffer (the gateway passes the
   // router's stored pattern text); the trace keeps a view, not a copy.
@@ -223,6 +223,12 @@ class RequestContext {
 
   // Stamps the total duration and surrenders the trace for the buffer.
   Trace finish();
+  // The outbound half of the perimeter: records the response status,
+  // echoes the id as X-W5-Trace and, when the id was inherited and this
+  // request span-sampled, attaches the span dump as X-W5-Spans for the
+  // caller to stitch (a trace root has nobody to stitch into). Then
+  // finish().
+  Trace finish(net::HttpResponse& response);
 
   static RequestContext* current() noexcept;
   // Trace id of the thread's active request, "" when none — safe to call
@@ -244,6 +250,8 @@ class RequestContext {
   RequestContext* previous_ = nullptr;
   bool installed_ = false;
   bool spans_enabled_ = false;
+  // The id came from a validated inbound X-W5-Trace: the caller is part
+  // of a larger trace and gets the span dump back for stitching.
   bool inherited_ = false;
   std::uint32_t next_span_id_ = 0;
   std::uint32_t current_parent_ = 0;
@@ -279,8 +287,24 @@ class ScopedSpan {
 // sequential so ids are not enumerable through GET /trace/:id).
 std::string next_trace_id();
 
-// True when `id` is shaped like a trace id ([0-9a-zA-Z_-]{1,64}).
-bool valid_trace_id(std::string_view id);
+// ---- Outbound hops (DESIGN.md §16) ------------------------------------------
+// The client half of the perimeter, for a hop to another provider made on
+// the request thread. `hop_span` is the span id the hop runs under; the
+// peer's serving spans hang beneath it in the stitched tree.
+
+// Stamps `request` with the thread's current trace: X-W5-Trace, X-W5-Parent
+// = `hop_span` (omitted when 0, the request root) and X-W5-Sampled. No-op
+// when no context is active — the peer then traces independently.
+void stamp_outbound(net::HttpRequest& request, std::uint32_t hop_span);
+
+// Grafts a peer response's X-W5-Spans dump into the current trace under
+// `hop_span`, rebased onto `hop_start_cycles` (the TSC read taken just
+// before the hop), whatever the response status — a consent denial's
+// spans explain themselves. No-op unless the current request is
+// span-sampled.
+void graft_remote_spans(const net::HttpResponse& response,
+                        std::string_view peer, std::uint32_t hop_span,
+                        std::uint64_t hop_start_cycles);
 
 // ---- Cross-hop span wire format (DESIGN.md §16) ----------------------------
 // X-W5-Spans response header: spans joined by '|', fields by ';':

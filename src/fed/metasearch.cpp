@@ -7,35 +7,27 @@
 #include <utility>
 
 #include "core/trace.h"
-#include "net/http_parser.h"
-#include "net/tracing.h"
 #include "rank/relevance.h"
 #include "util/clock.h"
 #include "util/lock_ranks.h"
 
 namespace w5::fed {
 
-namespace {
-
-// Plain (peer-less) decorator shape shared with Node.
-using Decorate = std::function<std::unique_ptr<net::Connection>(
-    std::unique_ptr<net::Connection>)>;
-
-}  // namespace
-
 // Shared between the request thread and its hop threads. The request
 // thread fills the read-only launch fields (peer, span ids, start
-// cycles, wire bytes) before spawning; each hop thread writes only its
-// own slot's result fields, under `mutex`, exactly once, then bumps
-// `completed` and signals. A hop that outlives the gather (cutoff) still
-// writes safely: the shared_ptr keeps this alive and the request thread
-// stopped caring after the wait returned.
+// cycles, wire bytes, decorator) before spawning; each hop thread writes
+// only its own slot's result fields, under `mutex`, exactly once, then
+// bumps `completed` and signals. A hop that outlives the gather (cutoff)
+// still writes safely: the shared_ptr keeps this alive and the request
+// thread stopped caring after the wait returned.
 struct Metasearch::Gather {
   struct Hop {
     // Launch fields (request thread, pre-spawn; read-only after).
     std::string peer;
     std::string wire;  // full serialized POST /fed/query request
-    Decorate decorate;
+    // The node's decorator, copied so a straggler outliving a
+    // set_connection_decorator keeps its own.
+    Node::ConnectionDecorator decorate;
     std::uint32_t span_id = 0;
     std::uint32_t span_parent = 0;
     std::uint64_t start_cycles = 0;
@@ -45,7 +37,7 @@ struct Metasearch::Gather {
     std::string error_code;
     std::string provider;  // the peer's self-reported name
     util::Json records = util::Json::array();
-    std::string spans_wire;
+    net::HttpResponse response;  // headers carry the peer's span dump
     std::uint64_t duration_cycles = 0;
   };
 
@@ -55,18 +47,19 @@ struct Metasearch::Gather {
   std::size_t completed = 0;
 };
 
-// One peer hop, run on its own thread: dial, send the query, pump the
-// peer's listener, read one response. Thread-safety note: concurrent
-// hops are safe because each dials a DISTINCT peer — InMemoryNetwork's
-// listener map is read-only after setup (dial/pump only find()), and a
-// peer node's accepted-connection queue is only ever touched by the one
-// hop thread pumping it.
+// One peer hop, run on its own thread: one exchange() with the peer, then
+// the peer's answer is read into the gather slot. Thread-safety note:
+// concurrent hops are safe because each dials a DISTINCT peer —
+// InMemoryNetwork's listener map is read-only after setup (dial/pump
+// only find()), and a peer node's accepted-connection queue is only ever
+// touched by the one hop thread pumping it.
 void Metasearch::run_hop(net::InMemoryNetwork& network,
                          const std::shared_ptr<Metasearch::Gather>& gather,
                          std::size_t index) {
   Metasearch::Gather::Hop& slot = gather->hops[index];
   const auto finish = [&](bool ok, std::string code, util::Json records,
-                          std::string provider, std::string spans) {
+                          std::string provider,
+                          net::HttpResponse response) {
     const std::uint64_t duration = util::cycle_count() - slot.start_cycles;
     const util::MutexLock lock(gather->mutex);
     slot.done = true;
@@ -74,55 +67,38 @@ void Metasearch::run_hop(net::InMemoryNetwork& network,
     slot.error_code = std::move(code);
     slot.records = std::move(records);
     slot.provider = std::move(provider);
-    slot.spans_wire = std::move(spans);
+    slot.response = std::move(response);
     slot.duration_cycles = duration;
     ++gather->completed;
     gather->cv.notify_all();
   };
-  const auto fail = [&](std::string code, std::string spans = {}) {
-    finish(false, std::move(code), util::Json::array(), {}, std::move(spans));
+  const auto fail = [&](std::string code, net::HttpResponse response = {}) {
+    finish(false, std::move(code), util::Json::array(), {},
+           std::move(response));
   };
 
-  const std::string address = "fed://" + slot.peer;
-  auto dialed = network.dial(address);
-  if (!dialed.ok()) return fail(dialed.error().code);
-  std::unique_ptr<net::Connection> connection = std::move(dialed).value();
-  if (slot.decorate) connection = slot.decorate(std::move(connection));
-
-  if (auto written = connection->write(slot.wire); !written.ok())
-    return fail(written.error().code);
-  if (auto pumped = network.pump(address); !pumped.ok())
-    return fail(pumped.error().code);
-
-  net::ResponseParser parser;
-  while (!parser.complete() && !parser.failed()) {
-    auto bytes = connection->read_available();
-    if (!bytes.ok()) return fail(bytes.error().code);
-    if (bytes.value().empty()) return fail("fed.protocol");
-    parser.feed(bytes.value());
-  }
-  if (parser.failed()) return fail(parser.error().code);
-  net::HttpResponse response = parser.take();
-
-  std::string spans;
-  if (const auto header = response.headers.get(net::kSpansHeader))
-    spans = *header;
+  auto exchanged = exchange(network, slot.peer, slot.wire, slot.decorate);
+  if (!exchanged.ok()) return fail(exchanged.error().code);
+  net::HttpResponse response = std::move(exchanged).value();
+  // The body is parsed here, off the request thread; the slot keeps the
+  // response only for its headers.
+  auto body = util::Json::parse(response.body);
+  response.body.clear();
 
   if (response.status != 200) {
     // Surface the peer's own error code when its body carries one (the
     // consent 403 and budget 429 bodies do) — the failure report then
     // says *why* the peer refused, not just that it did.
     std::string code = "fed.query_failed";
-    if (auto body = util::Json::parse(response.body); body.ok()) {
+    if (body.ok()) {
       const std::string peer_code = body.value().at("error").as_string();
       if (!peer_code.empty()) code = peer_code;
     }
-    return fail(std::move(code), std::move(spans));
+    return fail(std::move(code), std::move(response));
   }
-  auto body = util::Json::parse(response.body);
-  if (!body.ok()) return fail("fed.parse", std::move(spans));
+  if (!body.ok()) return fail("fed.parse", std::move(response));
   finish(true, {}, body.value().at("records"),
-         body.value().at("provider").as_string(), std::move(spans));
+         body.value().at("provider").as_string(), std::move(response));
 }
 
 Metasearch::Metasearch(Node& node, MetasearchConfig config)
@@ -214,27 +190,10 @@ util::Result<MetaPage> Metasearch::search(
     request.target = "/fed/query";
     request.parsed = *net::parse_request_target("/fed/query");
     request.headers.set("Connection", "close");
-    if (context != nullptr && !context->id().empty()) {
-      request.headers.set(std::string(net::kTraceHeader), context->id());
-      if (hop.span_id != 0)
-        request.headers.set(std::string(net::kParentHeader),
-                            std::to_string(hop.span_id));
-      request.headers.set(std::string(net::kSampledHeader),
-                          context->spans_enabled() ? "1" : "0");
-    }
+    platform::stamp_outbound(request, hop.span_id);
     request.body = body_text;
     hop.wire = request.to_wire();
-    if (decorator_) {
-      // Per-peer wrapping for the chaos harness; copied by value so a
-      // straggler outliving a set_connection_decorator keeps its own.
-      PeerDecorator wrap = decorator_;
-      std::string name = peer;
-      hop.decorate = [wrap, name](std::unique_ptr<net::Connection> c) {
-        return wrap(name, std::move(c));
-      };
-    } else if (node_.connection_decorator()) {
-      hop.decorate = node_.connection_decorator();
-    }
+    hop.decorate = node_.connection_decorator();
     hop.start_cycles = util::cycle_count();
     gather->hops.push_back(std::move(hop));
   }
@@ -318,7 +277,7 @@ util::Result<MetaPage> Metasearch::search(
     bool hop_ok = false;
     std::string error_code;
     std::string reported_provider;
-    std::string spans_wire;
+    net::HttpResponse response;
     util::Json records = util::Json::array();
     std::uint64_t duration_cycles = 0;
     {
@@ -329,7 +288,7 @@ util::Result<MetaPage> Metasearch::search(
         hop_ok = hop.ok;
         error_code = std::move(hop.error_code);
         reported_provider = std::move(hop.provider);
-        spans_wire = std::move(hop.spans_wire);
+        response = std::move(hop.response);
         records = std::move(hop.records);
         duration_cycles = hop.duration_cycles;
       }
@@ -385,15 +344,8 @@ util::Result<MetaPage> Metasearch::search(
       context->add_span("fed.query", launch.start_cycles, span_duration,
                         "peer=" + launch.peer + " status=" + outcome.status,
                         launch.span_id, launch.span_parent);
-      if (done && !spans_wire.empty()) {
-        auto remote = platform::decode_remote_spans(spans_wire, launch.peer);
-        if (!remote.empty()) {
-          const std::uint32_t saved = context->current_parent();
-          context->set_current_parent(launch.span_id);
-          context->add_remote_spans(std::move(remote), launch.start_cycles);
-          context->set_current_parent(saved);
-        }
-      }
+      platform::graft_remote_spans(response, launch.peer, launch.span_id,
+                                   launch.start_cycles);
     }
     outcomes.push_back(std::move(outcome));
   }

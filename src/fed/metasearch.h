@@ -89,21 +89,13 @@ class Metasearch {
   // this plane (the layering DAG has no apps→fed or core→fed edge).
   void install();
 
-  // Wraps each fan-out dial, keyed by peer — the chaos suite injects
-  // per-peer FaultyConnections here. Falls back to the Node's decorator.
-  using PeerDecorator = std::function<std::unique_ptr<net::Connection>(
-      const std::string& peer, std::unique_ptr<net::Connection>)>;
-  void set_connection_decorator(PeerDecorator decorator) {
-    decorator_ = std::move(decorator);
-  }
-
   const MetasearchConfig& config() const noexcept { return config_; }
 
  private:
   struct Gather;  // shared request-thread/hop-thread state
 
-  // One peer hop, run on its own thread: dial, send, pump, read one
-  // response into the gather slot.
+  // One peer hop, run on its own thread: one exchange() (fed/node.h),
+  // its response read into the gather slot.
   static void run_hop(net::InMemoryNetwork& network,
                       const std::shared_ptr<Gather>& gather,
                       std::size_t index);
@@ -113,7 +105,6 @@ class Metasearch {
 
   Node& node_;
   MetasearchConfig config_;
-  PeerDecorator decorator_;
 
   // Metrics, resolved once (w5_fed_query_*).
   util::Counter* fanouts_total_;

@@ -5,7 +5,7 @@
 
 #include "core/gateway.h"
 #include "fed/merge.h"
-#include "net/tracing.h"
+#include "net/http_parser.h"
 #include "rank/relevance.h"
 #include "util/strings.h"
 
@@ -102,38 +102,18 @@ bool Node::has_tombstone(const std::string& collection,
 }
 
 net::HttpResponse Node::handle_request(const net::HttpRequest& request) {
-  // Federation serving perimeter: the same trace plumbing the gateway
+  // Federation serving perimeter: the same trace perimeter the gateway
   // gives app requests. A validated inbound X-W5-Trace makes this hop a
   // child of the dialer's trace; the response carries our span dump back
   // (X-W5-Spans) for stitching.
-  const auto inherited = request.headers.get(net::kTraceHeader);
-  platform::RequestContext::Sampling sampling =
-      platform::RequestContext::Sampling::kInherit;
-  if (const auto sampled = request.headers.get(net::kSampledHeader)) {
-    if (*sampled == "0") sampling = platform::RequestContext::Sampling::kOff;
-    if (*sampled == "1") sampling = platform::RequestContext::Sampling::kOn;
-  }
-  platform::RequestContext context(
-      inherited ? std::string_view(*inherited) : std::string_view{},
-      sampling);
-  if (const auto parent = request.headers.get(net::kParentHeader)) {
-    if (util::parse_u64(*parent)) context.set_parent_span(*parent);
-  }
+  platform::RequestContext context(request);
   static const std::string kPullRoute = "fed.pull";
   static const std::string kQueryRoute = "fed.query";
   const bool is_query = request.parsed.path == "/fed/query";
   context.set_route(is_query ? kQueryRoute : kPullRoute);
   net::HttpResponse response =
       is_query ? serve_query(request) : serve_pull(request);
-  context.set_status(response.status);
-  if (!context.id().empty())
-    response.headers.set(std::string(net::kTraceHeader), context.id());
-  platform::Trace trace = context.finish();
-  if (context.inherited() && trace.sampled) {
-    std::string wire = platform::encode_spans_for_wire(trace);
-    if (!wire.empty())
-      response.headers.set(std::string(net::kSpansHeader), std::move(wire));
-  }
+  platform::Trace trace = context.finish(response);
   if (!trace.id.empty()) provider_.traces().record(std::move(trace));
   return response;
 }
@@ -387,17 +367,18 @@ util::Result<SyncStats> Node::pull_user(const std::string& peer_name,
   // hop; the TSC read just before dialing anchors the peer's returned
   // span offsets on our clock. A failed hop keeps the span with an
   // err= note — the cleanly-marked orphan in the stitched tree.
-  platform::RequestContext* context = platform::RequestContext::current();
   platform::ScopedSpan hop_span("fed.pull", "peer=" + peer_name);
+  const platform::RequestContext* context =
+      platform::RequestContext::current();
+  // current_parent() is the hop span itself (opened above), or the
+  // request root when this request is not span-sampled.
+  const std::uint32_t hop_span_id =
+      context != nullptr ? context->current_parent() : 0;
   const std::uint64_t hop_start_cycles = util::cycle_count();
   const auto hop_failed = [&](util::Error error) {
     hop_span.set_note("peer=" + peer_name + " err=" + error.code);
     return error;
   };
-  auto dialed = network_.dial("fed://" + peer_name);
-  if (!dialed.ok()) return hop_failed(dialed.error());
-  std::unique_ptr<net::Connection> connection = std::move(dialed).value();
-  if (decorator_) connection = decorator_(std::move(connection));
 
   // Only this user's record keys/clocks cross the wire: other users
   // never consented, and even record *names* are their data.
@@ -420,44 +401,18 @@ util::Result<SyncStats> Node::pull_user(const std::string& peer_name,
   request.target = "/fed/pull";
   request.parsed = *net::parse_request_target("/fed/pull");
   request.headers.set("Connection", "close");
-  // Trace propagation: the active context rides the wire so the peer's
-  // serving spans stitch under our hop span. current_parent() is the
-  // hop span itself (opened above).
-  if (context != nullptr && !context->id().empty()) {
-    request.headers.set(std::string(net::kTraceHeader), context->id());
-    if (context->current_parent() != 0)
-      request.headers.set(std::string(net::kParentHeader),
-                          std::to_string(context->current_parent()));
-    request.headers.set(std::string(net::kSampledHeader),
-                        context->spans_enabled() ? "1" : "0");
-  }
+  // The active context rides the wire so the peer's serving spans
+  // stitch under our hop span.
+  platform::stamp_outbound(request, hop_span_id);
   request.body = body.dump();
 
-  if (auto written = connection->write(request.to_wire()); !written.ok())
-    return hop_failed(written.error());
-  if (auto pumped = network_.pump("fed://" + peer_name); !pumped.ok())
-    return hop_failed(pumped.error());
-  net::ResponseParser parser;
-  while (!parser.complete() && !parser.failed()) {
-    auto bytes = connection->read_available();
-    if (!bytes.ok()) return hop_failed(bytes.error());
-    if (bytes.value().empty())
-      return hop_failed(
-          util::make_error("fed.protocol", "peer sent no response"));
-    parser.feed(bytes.value());
-  }
-  if (parser.failed()) return hop_failed(parser.error());
-  auto response = util::Result<net::HttpResponse>(parser.take());
+  auto response =
+      exchange(network_, peer_name, request.to_wire(), decorator_);
+  if (!response.ok()) return hop_failed(response.error());
   // Stitch the peer's span dump (if any) under the hop span whatever the
   // status — a 403 consent denial's spans explain themselves.
-  if (context != nullptr && context->spans_enabled()) {
-    if (const auto spans_header =
-            response.value().headers.get(net::kSpansHeader)) {
-      auto remote = platform::decode_remote_spans(*spans_header, peer_name);
-      if (!remote.empty())
-        context->add_remote_spans(std::move(remote), hop_start_cycles);
-    }
-  }
+  platform::graft_remote_spans(response.value(), peer_name, hop_span_id,
+                               hop_start_cycles);
   if (response.value().status != 200) {
     return hop_failed(util::make_error(
         "fed.pull_failed", "peer returned " +
@@ -467,6 +422,30 @@ util::Result<SyncStats> Node::pull_user(const std::string& peer_name,
   auto parsed = util::Json::parse(response.value().body);
   if (!parsed.ok()) return hop_failed(parsed.error());
   return apply_records(peer_name, parsed.value().at("records"));
+}
+
+util::Result<net::HttpResponse> exchange(
+    net::InMemoryNetwork& network, const std::string& peer,
+    const std::string& wire, const Node::ConnectionDecorator& decorate) {
+  const std::string address = "fed://" + peer;
+  auto dialed = network.dial(address);
+  if (!dialed.ok()) return dialed.error();
+  std::unique_ptr<net::Connection> connection = std::move(dialed).value();
+  if (decorate) connection = decorate(peer, std::move(connection));
+  if (auto written = connection->write(wire); !written.ok())
+    return written.error();
+  if (auto pumped = network.pump(address); !pumped.ok())
+    return pumped.error();
+  net::ResponseParser parser;
+  while (!parser.complete() && !parser.failed()) {
+    auto bytes = connection->read_available();
+    if (!bytes.ok()) return bytes.error();
+    if (bytes.value().empty())
+      return util::make_error("fed.protocol", "peer sent no response");
+    parser.feed(bytes.value());
+  }
+  if (parser.failed()) return parser.error();
+  return parser.take();
 }
 
 util::Result<SyncStats> Node::apply_records(const std::string& peer,

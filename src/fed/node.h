@@ -34,7 +34,6 @@
 #include "fed/vector_clock.h"
 #include "net/backoff.h"
 #include "net/circuit_breaker.h"
-#include "net/http_client.h"
 #include "net/http_session.h"
 #include "net/transport.h"
 #include "util/thread_annotations.h"
@@ -93,10 +92,12 @@ class Node {
   util::Result<SyncStats> sync_from(const std::string& peer_name);
 
   // ---- Robustness knobs --------------------------------------------------
-  // Wraps every dialed peer connection; the fault-injection harness uses
-  // this to interpose FaultyConnection between the node and the wire.
+  // Wraps every connection this node dials — sync pulls and metasearch
+  // hops alike — keyed by the peer's name; the fault-injection and chaos
+  // harnesses use it to interpose (per-peer) FaultyConnections between
+  // the node and the wire.
   using ConnectionDecorator = std::function<std::unique_ptr<net::Connection>(
-      std::unique_ptr<net::Connection>)>;
+      const std::string& peer, std::unique_ptr<net::Connection>)>;
   void set_connection_decorator(ConnectionDecorator decorator) {
     decorator_ = std::move(decorator);
   }
@@ -115,8 +116,7 @@ class Node {
   VectorClock clock_of(const std::string& collection,
                        const std::string& id) const;
 
-  // Connection-close hop decorator shared with Metasearch (it wraps its
-  // fan-out dials through the same knob when per-peer wrapping is off).
+  // The decorator, for Metasearch to copy into each fan-out hop.
   const ConnectionDecorator& connection_decorator() const noexcept {
     return decorator_;
   }
@@ -168,5 +168,16 @@ class Node {
   std::map<std::string, std::unique_ptr<net::CircuitBreaker>> breakers_
       W5_GUARDED_BY(breakers_mutex_);
 };
+
+// One federation round trip on the in-memory wire, shared by sync pulls
+// and metasearch hops: dial "fed://<peer>", wrap the connection with
+// `decorate` (when set), write the serialized request, pump the peer's
+// listener and parse one response. It touches no RequestContext, so a
+// metasearch hop thread can run it on wire bytes built on the request
+// thread. A peer that answers nothing is "fed.protocol" — final, unlike
+// the retryable "http.incomplete" of net::HttpClient.
+util::Result<net::HttpResponse> exchange(
+    net::InMemoryNetwork& network, const std::string& peer,
+    const std::string& wire, const Node::ConnectionDecorator& decorate);
 
 }  // namespace w5::fed

@@ -2,37 +2,14 @@
 
 #include <algorithm>
 
-#include "net/tracing.h"
 #include "util/strings.h"
 
 namespace w5::net {
 
 util::Result<HttpResponse> HttpClient::roundtrip(Connection& connection,
                                                  const HttpRequest& request) {
-  // Cross-hop trace propagation (DESIGN.md §16): stamp the active
-  // request's trace context unless the caller already did. The copy is
-  // taken only when a stamp is needed, so untraced round trips (no
-  // context installed) stay allocation-identical to before.
-  TraceHeaders trace;
-  if (!request.headers.contains(kTraceHeader) &&
-      outbound_trace_headers(&trace) && valid_trace_token(trace.trace_id)) {
-    HttpRequest stamped = request;
-    stamped.headers.set(std::string(kTraceHeader), trace.trace_id);
-    if (!trace.parent_span.empty())
-      stamped.headers.set(std::string(kParentHeader), trace.parent_span);
-    stamped.headers.set(std::string(kSampledHeader),
-                        trace.sampled ? "1" : "0");
-    if (auto written = connection.write(stamped.to_wire()); !written.ok())
-      return written.error();
-    return read_response(connection);
-  }
   if (auto written = connection.write(request.to_wire()); !written.ok())
     return written.error();
-  return read_response(connection);
-}
-
-util::Result<HttpResponse> HttpClient::read_response(Connection& connection) {
-
   ResponseParser parser(limits_);
   char buf[8192];
   while (!parser.complete() && !parser.failed()) {

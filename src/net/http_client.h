@@ -1,7 +1,8 @@
 // Minimal HTTP/1.1 client: one round trip over an existing Connection,
 // plus a retrying variant (exponential backoff + jitter) that re-dials
-// through a connection factory. Used by tests, the federation sync
-// protocol, and the examples.
+// through a connection factory. Used by tests and the examples; the
+// federation hops use their own exchange over the in-memory wire
+// (fed/node.h).
 #pragma once
 
 #include <memory>
@@ -49,10 +50,6 @@ class HttpClient {
       RetryStats* stats = nullptr);
 
  private:
-  // Reads one full response off the connection (shared by the stamped
-  // and pass-through write paths in roundtrip()).
-  util::Result<HttpResponse> read_response(Connection& connection);
-
   ParserLimits limits_;
 };
 

@@ -1,50 +1,29 @@
-// Cross-hop trace header plumbing for the net layer (DESIGN.md §16).
+// Cross-hop trace header names for the net layer (DESIGN.md §16).
 //
-// The layering DAG forbids net/ → core/, but outbound requests made by
-// net::HttpClient must carry the active request's trace context
-// (X-W5-Trace / X-W5-Parent / X-W5-Sampled) and the connection engine
-// (net/http_session) must echo a validated inbound id on early-exit
-// responses the handler never sees (408/413/431/503). The seam is a process-global provider hook:
-// core installs a snapshot function over its thread-local RequestContext;
-// net only knows the header names and the id *shape*.
+// The trace protocol itself — building a request's context from these
+// headers, echoing the id, stamping outbound hops and grafting a peer's
+// span dump — lives in core/trace. The layering DAG forbids net/ → core/,
+// yet the connection engine (net/http_session) must echo a validated
+// inbound id on early-exit responses the handler never sees
+// (408/413/431/503), and the reactor reads the echo back for its
+// exemplars. So net only knows the header names and the id *shape*.
 //
 // §3.5: only token-shaped values ([0-9a-zA-Z_-]{1,64}) ever cross here —
 // an arbitrary client header can never ride telemetry channels.
 #pragma once
 
-#include <functional>
-#include <string>
 #include <string_view>
 
 namespace w5::net {
 
-// Wire header names, shared by the connection engine, the client, and core.
+// Wire header names, shared by the connection engine and core/trace.
 inline constexpr std::string_view kTraceHeader = "X-W5-Trace";
 inline constexpr std::string_view kParentHeader = "X-W5-Parent";
 inline constexpr std::string_view kSampledHeader = "X-W5-Sampled";
 inline constexpr std::string_view kSpansHeader = "X-W5-Spans";
 
 // True when `token` is shaped like a trace id ([0-9a-zA-Z_-]{1,64}).
-// Mirrors platform::valid_trace_id — duplicated here because net/ cannot
-// include core/trace.h (frozen layering DAG).
+// The one validator: core/trace accepts an inbound id only through it.
 bool valid_trace_token(std::string_view token);
-
-// Snapshot of the calling thread's active trace context.
-struct TraceHeaders {
-  std::string trace_id;     // empty = no active context
-  std::string parent_span;  // decimal span ordinal, empty = request root
-  bool sampled = false;
-};
-
-// Installed once by core at provider startup; called by HttpClient on
-// every outbound request that does not already carry X-W5-Trace. Returns
-// false (or is unset) when there is no active context — the request goes
-// out unstamped and the callee traces independently.
-using TraceProvider = std::function<bool(TraceHeaders*)>;
-void set_outbound_trace_provider(TraceProvider provider);
-
-// Fills `out` from the installed provider; false when none is installed
-// or no context is active.
-bool outbound_trace_headers(TraceHeaders* out);
 
 }  // namespace w5::net

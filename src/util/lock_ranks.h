@@ -76,7 +76,6 @@ inline constexpr int kFileFault = 80;           // FileFaultPlan State::mutex
 inline constexpr int kTraceSlot = 84;           // TraceBuffer::slot_mutexes_ ×N
 inline constexpr int kTraceEvicted = 86;        // TraceBuffer::evicted_mutex_
 inline constexpr int kFlightRecorder = 88;      // FlightRecorder::mutex_
-inline constexpr int kNetTraceProvider = 90;    // tracing::g_provider_mutex
 inline constexpr int kMetricsRegistry = 94;     // MetricsRegistry::mutex_
 inline constexpr int kMetricsExemplar = 96;     // Histogram::exemplar_mutex_
 inline constexpr int kLog = 98;                 // log::g_mutex

@@ -435,7 +435,7 @@ class FaultInjectionFed : public ::testing::Test {
   void fail_first_dials(int failures) {
     auto remaining = std::make_shared<int>(failures);
     node_b_.set_connection_decorator(
-        [remaining](std::unique_ptr<Connection> inner)
+        [remaining](const std::string&, std::unique_ptr<Connection> inner)
             -> std::unique_ptr<Connection> {
           if (*remaining > 0) {
             --*remaining;

@@ -218,7 +218,7 @@ TEST_F(MetasearchTest, SlowPeerHitsTheCutoffAndThePageDegradesToPartial) {
   config.fanout_budget_micros = 5'000;  // 5 ms gather budget
   Metasearch meta(home_node_, config);
   // peerC's wire stalls 100 ms on the first write — far past the budget.
-  meta.set_connection_decorator(
+  home_node_.set_connection_decorator(
       [](const std::string& peer, std::unique_ptr<net::Connection> inner)
           -> std::unique_ptr<net::Connection> {
         if (peer != "peerC") return inner;
@@ -324,7 +324,7 @@ TEST_P(MetasearchChaos, SeededFaultsAreDeterministic) {
     profile.short_read_probability = 0.3;
     profile.drop_probability = 0.15;
     profile.reset_probability = 0.1;
-    meta.set_connection_decorator(
+    home_node.set_connection_decorator(
         [seed, profile](const std::string& peer,
                         std::unique_ptr<net::Connection> inner)
             -> std::unique_ptr<net::Connection> {
@@ -478,7 +478,7 @@ TEST_F(MetasearchTest, GatewayFlagsPartialPagesInAHeader) {
   MetasearchConfig config;
   config.fanout_budget_micros = 5'000;
   Metasearch meta(home_node_, config);
-  meta.set_connection_decorator(
+  home_node_.set_connection_decorator(
       [](const std::string& peer, std::unique_ptr<net::Connection> inner)
           -> std::unique_ptr<net::Connection> {
         if (peer != "peerD") return inner;

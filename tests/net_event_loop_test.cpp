@@ -423,10 +423,10 @@ TEST(EventLoopServer, OversizeBodyGets413AndHeadersGet431) {
   EXPECT_EQ(stats.rejected_431_total.load(), 1u);
 }
 
-// Early-exit parity (DESIGN.md §16): the reactor stamps a validated
-// inbound X-W5-Trace onto 413/431/408 rejections exactly like the pooled
-// path, so a caller's stitched trace shows where the hop died even when
-// no handler ever ran.
+// Early exits keep the trace (DESIGN.md §16): the connection engine
+// (net::HttpSession) stamps a validated inbound X-W5-Trace onto 413/431/408
+// rejections, so a caller's stitched trace shows where the hop died even
+// when no handler ever ran.
 TEST(EventLoopServer, EarlyExitsEchoInboundTrace) {
   ReactorServer server({.limits = {.max_headers_bytes = 512,
                                    .max_body_bytes = 64},

@@ -136,6 +136,16 @@ TEST(NetRobustness, IdleKeepAliveConnectionIsClosedWithout408) {
   EXPECT_GE(door.provider().server_stats().reaped_total.load(), 1u);
 }
 
+TEST(NetRobustness, InlineDispatchStartsNoWorkerPool) {
+  // The default config dispatches handlers inline on the reactor loop:
+  // serving must not start the kPooled worker pool it never submits to.
+  FrontDoor door(platform::ProviderConfig{});
+  auto response = door.get_stats();
+  ASSERT_TRUE(response.ok()) << response.error().code;
+  EXPECT_EQ(response.value().status, 200);
+  EXPECT_EQ(door.provider().pool_if_started(), nullptr);
+}
+
 TEST(NetRobustness, OverloadShedsWith503AndRetryAfter) {
   // Pooled dispatch on 1 worker with a queue of 1: once both are taken,
   // the next request is shed at dispatch with 503 + Retry-After.

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -17,6 +18,7 @@
 #include "net/fault.h"
 #include "net/tracing.h"
 #include "util/metrics.h"
+#include "util/rng.h"
 
 namespace w5 {
 namespace {
@@ -90,6 +92,115 @@ TEST(TraceWire, DecodeRejectsMalformedAndHostileEntries) {
   EXPECT_EQ(decoded[0].name, "ok_name");
   EXPECT_EQ(decoded[0].note, "no_te");
   EXPECT_EQ(decoded[0].remote, "peer_evil");
+}
+
+// Seeded mutation fuzzing of the decoder: X-W5-Spans is a header a peer
+// controls. Random, bit-flipped, truncated, spliced and oversized wires,
+// grown from the fixtures above, must never crash the decoder (the
+// ASan+UBSan leg runs this too), never yield more than 32 spans or a byte
+// outside the telemetry charset, and re-encoding what it returns must
+// reach a fixed point after one round.
+bool telemetry_charset_only(const std::string& text) {
+  return std::all_of(text.begin(), text.end(), [](char c) {
+    return (c >= '0' && c <= '9') || (c >= 'a' && c <= 'z') ||
+           (c >= 'A' && c <= 'Z') || c == '.' || c == '_' || c == '/' ||
+           c == '=' || c == '-';
+  });
+}
+
+std::string encode_decoded(const std::vector<TraceSpan>& spans) {
+  Trace trace;
+  trace.sampled = true;
+  trace.started = 0;  // decoded starts are offsets already
+  trace.spans = spans;
+  return platform::encode_spans_for_wire(trace);
+}
+
+std::string mutate(util::Rng& rng, const std::vector<std::string>& corpus) {
+  std::string wire = corpus[rng.next_below(corpus.size())];
+  static constexpr std::string_view kWireBytes = "0123456789;|;|;|aZ._-";
+  switch (rng.next_below(6)) {
+    case 0:  // random bytes, any length up to past the 4 KB cap
+      return rng.next_bytes(rng.next_below(4200));
+    case 1:  // bit flips
+      for (std::uint64_t i = rng.next_range(1, 8); i > 0 && !wire.empty();
+           --i)
+        wire[rng.next_below(wire.size())] ^=
+            static_cast<char>(1u << rng.next_below(8));
+      return wire;
+    case 2:  // truncation
+      return wire.substr(0, rng.next_below(wire.size() + 1));
+    case 3:  // splice in wire-significant bytes
+      for (std::uint64_t i = rng.next_range(1, 16); i > 0; --i)
+        wire.insert(wire.begin() + static_cast<std::ptrdiff_t>(
+                                       rng.next_below(wire.size() + 1)),
+                    kWireBytes[rng.next_below(kWireBytes.size())]);
+      return wire;
+    case 4: {  // oversized: repeat entries up to and past the byte cap
+      std::string grown;
+      const std::uint64_t target = rng.next_range(3900, 4100);
+      while (grown.size() < target && !wire.empty())
+        grown += (grown.empty() ? "" : "|") + wire;
+      return grown.substr(0, target);
+    }
+    default: {  // many tiny valid entries: exercises the 32-span cap
+      std::string many;
+      for (std::uint64_t i = rng.next_range(1, 300); i > 0; --i)
+        many += std::to_string(i) + ";0;" + std::to_string(i) + ";1;s;;|";
+      return many;
+    }
+  }
+}
+
+TEST(TraceWire, SeededMutationFuzzKeepsDecoderBounded) {
+  Trace fixture;
+  fixture.sampled = true;
+  fixture.started = 1'000'000;
+  fixture.spans = {
+      TraceSpan{.name = "flow-check", .start = 1'000'100, .duration = 50,
+                .note = "tags=2", .id = 1},
+      TraceSpan{.name = "store.get", .start = 1'000'120, .duration = 20,
+                .id = 2, .parent = 1, .remote = "peerB"}};
+  Trace wide = fixture;
+  for (std::uint32_t i = 3; i <= 40; ++i)
+    wide.spans.push_back(TraceSpan{.name = std::string(48, 'n'),
+                                   .start = 1'000'000 + i,
+                                   .duration = i,
+                                   .note = std::string(80, 'o'),
+                                   .id = i,
+                                   .parent = i - 1});
+  const std::vector<std::string> corpus = {
+      platform::encode_spans_for_wire(fixture),
+      platform::encode_spans_for_wire(wide),
+      "garbage|1;0;10;5;ok name;no\"te;|;;;;;;|2;zzz;1;1;x;;",
+      "1;0;99999999999999999999;18446744073709551615;big;;",
+      ""};
+  std::size_t nonempty = 0;
+  for (const std::uint64_t seed : {1ull, 7ull, 42ull}) {
+    util::Rng rng(seed);
+    for (int i = 0; i < 1500; ++i) {
+      const std::string wire = mutate(rng, corpus);
+      const auto decoded = platform::decode_remote_spans(wire, "peer;evil|x");
+      ASSERT_LE(decoded.size(), 32u) << "seed " << seed << " case " << i;
+      for (const TraceSpan& span : decoded) {
+        EXPECT_FALSE(span.name.empty());
+        EXPECT_TRUE(telemetry_charset_only(span.name)) << span.name;
+        EXPECT_TRUE(telemetry_charset_only(span.note)) << span.note;
+        EXPECT_TRUE(telemetry_charset_only(span.remote)) << span.remote;
+        EXPECT_LE(span.name.size(), 48u);
+        EXPECT_LE(span.note.size(), 80u);
+        EXPECT_LE(span.remote.size(), 48u);
+      }
+      if (!decoded.empty()) ++nonempty;
+      const std::string once = encode_decoded(decoded);
+      const std::string twice =
+          encode_decoded(platform::decode_remote_spans(once, "peer;evil|x"));
+      ASSERT_EQ(once, twice) << "seed " << seed << " case " << i;
+    }
+  }
+  // The mutator must reach the decoder's accepting paths, not only its
+  // early rejections.
+  EXPECT_GT(nonempty, 1000u);
 }
 
 // ---- Span tree ordinals -----------------------------------------------------
@@ -434,6 +545,99 @@ TEST_F(FedTracingTest, UnauthorizedPullYieldsOrphanMarkedHopSpan) {
       << hop->note;
 }
 
+// Cross-perimeter differential: the gateway (Provider::handle) and a
+// federation node's /fed/query serve the same inbound trace headers the
+// same way — one inbound path in core/trace behind both.
+TEST_F(FedTracingTest, GatewayAndFedQueryAgreeOnInboundTraceHeaders) {
+  if (!util::kTelemetryEnabled) return;
+  platform::Module probe;
+  probe.developer = "dev";
+  probe.name = "probe";
+  probe.version = "1.0";
+  probe.handler = [](platform::AppContext&) {
+    return net::HttpResponse::text(200, "ok");
+  };
+  ASSERT_TRUE(provider_a_.modules().add(probe).ok());
+
+  struct HeaderSet {
+    std::string why;
+    std::string trace;    // "" = header absent
+    std::string parent;   // "" = header absent
+    std::string sampled;  // "" = header absent
+  };
+  const std::vector<HeaderSet> sets = {
+      {"valid id, parent, sampled", "diff-valid-1", "7", "1"},
+      {"valid id, unsampled", "diff-valid-2", "", "0"},
+      {"invalid id", "bad id!{}", "", ""},
+      {"no headers", "", "", ""},
+  };
+  struct Seen {
+    std::string echo;  // "inherited" | "fresh" | "none"
+    bool spans = false;
+    std::string parent_span;
+  };
+  const auto observe = [this](const HeaderSet& set,
+                              const net::HttpResponse& response) {
+    Seen seen;
+    const auto echo = response.headers.get(net::kTraceHeader);
+    seen.echo = !echo                          ? "none"
+                : *echo == set.trace           ? "inherited"
+                : net::valid_trace_token(*echo) ? "fresh"
+                                                : "invalid";
+    seen.spans = response.headers.contains(net::kSpansHeader);
+    Trace recorded;
+    if (echo && provider_a_.traces().lookup(*echo, &recorded) ==
+                    TraceBuffer::Lookup::kFound)
+      seen.parent_span = recorded.parent_span;
+    else
+      seen.parent_span = "<no trace>";
+    return seen;
+  };
+  const auto stamp = [](const HeaderSet& set, net::HttpRequest& request) {
+    if (!set.trace.empty()) request.headers.set("X-W5-Trace", set.trace);
+    if (!set.parent.empty()) request.headers.set("X-W5-Parent", set.parent);
+    if (!set.sampled.empty())
+      request.headers.set("X-W5-Sampled", set.sampled);
+  };
+  for (const HeaderSet& set : sets) {
+    SCOPED_TRACE(set.why);
+    net::HttpRequest app;
+    app.method = Method::kGet;
+    app.target = "/dev/dev/probe";
+    app.parsed = *net::parse_request_target(app.target);
+    stamp(set, app);
+    const net::HttpResponse via_gateway = provider_a_.handle(app);
+    ASSERT_EQ(via_gateway.status, 200) << via_gateway.body;
+    // Observed before the fed leg records a trace under the same id.
+    const Seen gateway = observe(set, via_gateway);
+
+    util::Json body;
+    body["peer"] = "providerB";
+    body["user"] = "bob";
+    body["collection"] = "photos";
+    net::HttpRequest query;
+    query.method = Method::kPost;
+    query.target = "/fed/query";
+    query.parsed = *net::parse_request_target(query.target);
+    query.headers.set("Connection", "close");
+    stamp(set, query);
+    query.body = body.dump();
+    auto via_fed = fed::exchange(network_, "providerA", query.to_wire(), {});
+    ASSERT_TRUE(via_fed.ok()) << via_fed.error().code;
+    ASSERT_EQ(via_fed.value().status, 200) << via_fed.value().body;
+
+    const Seen fed = observe(set, via_fed.value());
+    EXPECT_EQ(gateway.echo, fed.echo);
+    EXPECT_EQ(gateway.spans, fed.spans);
+    EXPECT_EQ(gateway.parent_span, set.parent);
+    EXPECT_EQ(fed.parent_span, set.parent);
+    // And each set lands where the protocol says it should.
+    const bool valid = net::valid_trace_token(set.trace);
+    EXPECT_EQ(gateway.echo, valid ? "inherited" : "fresh");
+    EXPECT_EQ(gateway.spans, valid && set.sampled == "1");
+  }
+}
+
 // Chaos determinism: the same seed yields the same stitched-or-orphaned
 // outcome, span for span. FaultSchedule::seeded drives delays, short
 // reads, and resets through the connection decorator on the dialer side.
@@ -465,7 +669,8 @@ TEST_F(FedTracingTest, SeededChaosSyncIsDeterministic) {
     profile.min_delay_micros = 1;
     profile.max_delay_micros = 10;
     node_b.set_connection_decorator(
-        [seed, profile](std::unique_ptr<net::Connection> inner) {
+        [seed, profile](const std::string&,
+                        std::unique_ptr<net::Connection> inner) {
           return std::make_unique<net::FaultyConnection>(
               std::move(inner), net::FaultSchedule::seeded(seed, profile));
         });
