@@ -19,7 +19,6 @@
 #include "core/gateway.h"
 #include "core/provider.h"
 #include "core/trace.h"
-#include "difc/label_table.h"
 #include "net/http_client.h"
 #include "net/tcp.h"
 #include "util/metrics.h"
@@ -197,7 +196,7 @@ BENCHMARK(BM_ObservedPipelineEventLoop)->Threads(1)->Threads(4)
     ->UseRealTime();
 
 // A /metrics scrape under load: how much does reading the plane cost
-// (registry walk + gauge refresh across 16 shards, pool, flow cache)?
+// (registry walk + gauge refresh across 16 shards, pool, audit)?
 void BM_MetricsScrape(benchmark::State& state) {
   SharedFixture& fx = fixture();
   const std::string& session = fx.sessions[0];
@@ -212,7 +211,7 @@ void BM_MetricsScrape(benchmark::State& state) {
   // Export the provider's own counters next to the timing numbers
   // (scripts/bench_json.sh lifts snap_* into "metrics_snapshot"), so a
   // perf regression in BENCH_observability.json comes with the request
-  // mix and cache behavior that produced it.
+  // mix that produced it.
   w5::util::MetricsRegistry& metrics = fx.provider.metrics();
   const auto snap = [&state](const char* key, double v) {
     state.counters[key] = benchmark::Counter(v);
@@ -224,9 +223,6 @@ void BM_MetricsScrape(benchmark::State& state) {
   const auto ops = fx.provider.store().op_counts();
   snap("snap_store_gets", static_cast<double>(ops.gets));
   snap("snap_store_puts", static_cast<double>(ops.puts));
-  const auto& cache = w5::difc::FlowCache::instance();
-  snap("snap_flow_cache_hits", static_cast<double>(cache.hits()));
-  snap("snap_flow_cache_misses", static_cast<double>(cache.misses()));
 }
 BENCHMARK(BM_MetricsScrape);
 

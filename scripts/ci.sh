@@ -2,7 +2,8 @@
 # The one-command verification gate: tier-1 build + tests, then the
 # sanitizer matrix (scripts/run_sanitizers.sh).
 #
-#   scripts/ci.sh            # build + lint + ctest + durability + bench + sanitizers
+#   scripts/ci.sh            # build + lint + ctest + durability + no-telemetry ctest
+#                            #   + bench + sanitizers
 #   scripts/ci.sh fast       # build + lint + ctest + durability (no bench/sanitizers)
 #   scripts/ci.sh durability # build + crash-matrix/recovery stage only
 #   scripts/ci.sh lint       # build w5lint + static checks only
@@ -114,6 +115,15 @@ bench_stage() {
   scripts/bench_json.sh federation
 }
 
+notelemetry_stage() {
+  echo "== Tier-1: tests with telemetry compiled out (W5_NO_TELEMETRY) =="
+  # The E13 no-op baseline build: every counter/gauge update compiles
+  # away, so each test must hold on its non-telemetry signals there too.
+  cmake -B build-notelemetry -S . -DW5_NO_TELEMETRY=ON >/dev/null
+  cmake --build build-notelemetry -j "$jobs" --target w5_tests
+  (cd build-notelemetry && ctest --output-on-failure -j "$jobs")
+}
+
 if [[ "$leg" == "durability" ]]; then
   durability_stage
   echo "ci: durability stage passed"
@@ -144,6 +154,7 @@ echo "== Chaos: fault-injection, robustness + seeded federation chaos suites =="
 durability_stage
 
 if [[ "$leg" != "fast" ]]; then
+  notelemetry_stage
   bench_stage
   scripts/run_sanitizers.sh
 fi

@@ -34,7 +34,7 @@ run_tsan() {
   cmake --build build-tsan -j "$jobs" --target w5_tests
   TSAN_OPTIONS="halt_on_error=1" \
     ./build-tsan/tests/w5_tests \
-    --gtest_filter='*Concurrency*:*FlowMemo*:*TcpEndToEnd*:*ThreadPool*:*Ipc*:*Observability*:*FaultInjection*:*NetRobustness*:*EventLoopServer*:*HttpSession*:*TimerWheel*:*Metasearch*:*Federation*:*FedTracing*'
+    --gtest_filter='*Concurrency*:*FlowVerdict*:*TcpEndToEnd*:*ThreadPool*:*Ipc*:*Observability*:*FaultInjection*:*NetRobustness*:*EventLoopServer*:*HttpSession*:*TimerWheel*:*Metasearch*:*Federation*:*FedTracing*'
 }
 
 run_asan() {

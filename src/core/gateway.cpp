@@ -7,7 +7,6 @@
 #include "core/sanitizer.h"
 #include "core/statusz.h"
 #include "core/trace.h"
-#include "difc/label_table.h"
 #include "util/strings.h"
 #include "net/cookies.h"
 
@@ -497,7 +496,7 @@ void Gateway::refresh_runtime_gauges() {
       .set(as_i64(net_stats.rejected_431_total.load()));
 
   // Connection-plane telemetry (DESIGN.md §15): live open/idle levels
-  // plus lifetime accept/timeout/reset totals, from either serving mode.
+  // plus lifetime accept/timeout/reset totals, from the reactor's sessions.
   const net::ConnStats& conn_stats = provider_.conn_stats();
   metrics.gauge("w5_net_open_connections").set(conn_stats.open.load());
   metrics.gauge("w5_net_idle_connections").set(conn_stats.idle.load());
@@ -507,17 +506,6 @@ void Gateway::refresh_runtime_gauges() {
       .set(as_i64(conn_stats.timeout_closes_total.load()));
   metrics.gauge("w5_net_connection_resets")
       .set(as_i64(conn_stats.reset_total.load()));
-
-  const difc::FlowCache& cache = difc::FlowCache::instance();
-  metrics.gauge("w5_flow_cache_hits").set(as_i64(cache.hits()));
-  metrics.gauge("w5_flow_cache_misses").set(as_i64(cache.misses()));
-  metrics.gauge("w5_flow_cache_invalidations")
-      .set(as_i64(cache.invalidations()));
-  metrics.gauge("w5_flow_cache_size").set(as_i64(cache.size()));
-  metrics.gauge("w5_label_table_size")
-      .set(as_i64(difc::LabelTable::instance().size()));
-  metrics.gauge("w5_label_table_epoch")
-      .set(as_i64(difc::LabelTable::instance().epoch()));
 
   metrics.gauge("w5_audit_events_retained")
       .set(as_i64(provider_.audit().size()));

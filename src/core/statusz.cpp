@@ -4,6 +4,7 @@
 #include <string>
 
 #include "core/provider.h"
+#include "net/circuit_breaker.h"
 #include "os/thread_pool.h"
 #include "store/durable_store.h"
 
@@ -98,22 +99,19 @@ util::Json durability_section(Provider& provider) {
 }
 
 // Per-peer circuit breaker states, scraped from the gauges fed::Node
-// maintains (w5_fed_breaker_state{peer="..."}: 0 closed, 1 open,
-// 2 half-open). Scanning the registry keeps statusz decoupled from the
-// federation layer — a provider that never federates just shows {}.
-util::Json breakers_section(Provider& provider) {
+// maintains (w5_fed_breaker_state{peer="..."}, a CircuitBreaker::State).
+// Scanning the registry keeps statusz decoupled from the federation
+// layer — a provider that never federates just shows {}.
+util::Json breakers_section(const util::Json& metrics) {
   util::Json breakers = util::Json::object();
   static constexpr std::string_view kPrefix = "w5_fed_breaker_state{peer=\"";
-  const util::Json metrics = provider.metrics().to_json();
   for (const auto& [name, value] : metrics.at("gauges").as_object()) {
     if (!std::string_view(name).starts_with(kPrefix)) continue;
     std::string peer = name.substr(kPrefix.size());
     const std::size_t quote = peer.find('"');
     if (quote != std::string::npos) peer.resize(quote);
-    const std::int64_t state = value.as_int();
-    breakers[peer] = state == 0   ? "closed"
-                     : state == 1 ? "open"
-                                  : "half_open";
+    breakers[peer] = net::to_string(
+        static_cast<net::CircuitBreaker::State>(value.as_int()));
   }
   return breakers;
 }
@@ -156,8 +154,7 @@ util::Json query_engine_section(Provider& provider) {
 // fed::Node and fed::Metasearch maintain. Like breakers_section, the
 // registry scrape keeps statusz decoupled from fed/ — counts and states
 // only, never record bytes (§3.5).
-util::Json fed_section(Provider& provider) {
-  const util::Json metrics = provider.metrics().to_json();
+util::Json fed_section(const util::Json& metrics) {
   const util::Json& counters = metrics.at("counters");
   const auto counter = [&](const std::string& name) {
     return from_u64(static_cast<std::uint64_t>(counters.at(name).as_int(0)));
@@ -223,8 +220,9 @@ util::Json build_statusz(Provider& provider) {
   out["serving"] = serving_section(provider);
   out["reactor_loops"] = reactor_section(provider);
   out["durability"] = durability_section(provider);
-  out["fed_breakers"] = breakers_section(provider);
-  out["fed"] = fed_section(provider);
+  const util::Json metrics = provider.metrics().to_json();
+  out["fed_breakers"] = breakers_section(metrics);
+  out["fed"] = fed_section(metrics);
   out["query_engine"] = query_engine_section(provider);
   out["tracing"] = tracing_section(provider);
   return out;

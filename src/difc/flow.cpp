@@ -1,13 +1,11 @@
 #include "difc/flow.h"
 
-#include "difc/label_table.h"
-
 namespace w5::difc {
 
 bool can_flow(const Label& src_secrecy, const Label& src_integrity,
               const Label& dst_secrecy, const Label& dst_integrity) {
-  return cached_subset(src_secrecy, dst_secrecy) &&
-         cached_subset(dst_integrity, src_integrity);
+  return src_secrecy.subset_of(dst_secrecy) &&
+         dst_integrity.subset_of(src_integrity);
 }
 
 util::Status check_flow(const LabelState& source, const LabelState& sink) {
@@ -64,12 +62,11 @@ util::Status check_write(const LabelState& process,
 util::Status check_export(const Label& data_secrecy,
                           const CapabilitySet& authority) {
   if (data_secrecy.empty()) return util::ok_status();  // nothing to leak
-  // Common case: the exact (label, authority) pair was decided before —
-  // residue emptiness is equivalent to data_secrecy ⊆ removable, which
-  // the memo answers in O(1). The deny path re-materializes the residue
-  // so the audit log names the blocking tags; denials are the rare case.
+  // Residue emptiness is equivalent to data_secrecy ⊆ removable, an
+  // allocation-free walk. The deny path re-materializes the residue so
+  // the audit log names the blocking tags; denials are the rare case.
   const Label removable = authority.removable();
-  if (cached_subset(data_secrecy, removable)) return util::ok_status();
+  if (data_secrecy.subset_of(removable)) return util::ok_status();
   const Label residue = data_secrecy.subtract(removable);
   return util::make_error(
       "perimeter.denied",

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <mutex>
 
-#include "difc/label_table.h"
 #include "util/log.h"
 
 namespace w5::difc {
@@ -50,8 +49,6 @@ TagRegistry& TagRegistry::operator=(TagRegistry&& other) noexcept
     next_id_ = other.next_id_;
     info_ = std::move(other.info_);
   }
-  // Snapshot restores reuse tag ids with new meaning: flush the memo.
-  LabelTable::instance().invalidate();
   return *this;
 }
 
@@ -74,7 +71,6 @@ Tag TagRegistry::create(std::string name, TagPurpose purpose,
       seq = mutation_log_->log(op);
     }
   }
-  LabelTable::instance().invalidate();
   if (mutation_log_ != nullptr) {
     // create() cannot surface a Status; a failed WAL is already erroring
     // every store/fs write, so record the non-durable mint and move on.
@@ -99,7 +95,6 @@ util::Status TagRegistry::apply_wal(const util::Json& op) {
                          op.at("owner").as_string()};
     next_id_ = std::max(next_id_, static_cast<std::uint64_t>(id) + 1);
   }
-  LabelTable::instance().invalidate();
   return util::ok_status();
 }
 

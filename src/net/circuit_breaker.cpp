@@ -71,4 +71,16 @@ std::uint64_t CircuitBreaker::rejected_total() const {
   return rejected_;
 }
 
+std::string_view to_string(CircuitBreaker::State state) {
+  switch (state) {
+    case CircuitBreaker::State::kClosed:
+      return "closed";
+    case CircuitBreaker::State::kHalfOpen:
+      return "half_open";
+    case CircuitBreaker::State::kOpen:
+      return "open";
+  }
+  return "unknown";
+}
+
 }  // namespace w5::net

@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <mutex>
+#include <string_view>
 
 #include "util/clock.h"
 #include "util/thread_annotations.h"
@@ -66,5 +67,8 @@ class CircuitBreaker {
   util::Micros opened_at_ W5_GUARDED_BY(mutex_) = 0;
   std::uint64_t rejected_ W5_GUARDED_BY(mutex_) = 0;
 };
+
+// "closed", "half_open" or "open": the one spelling of each state.
+std::string_view to_string(CircuitBreaker::State state);
 
 }  // namespace w5::net

@@ -6,8 +6,8 @@
 //
 //   by_owner   owner            → keys (all collections)
 //   by_label   secrecy label    → keys — records grouped by their exact
-//              label *set*, so one memoized clearance check
-//              (difc::cached_subset) admits or skips an entire list;
+//              label *set*, so one clearance check (Label::subset_of)
+//              admits or skips an entire list;
 //              invisible groups are never touched, which is both the
 //              perf win and the §3.5 story (unreadable records cost the
 //              caller nothing observable).

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <mutex>
 
-#include "difc/label_table.h"
-
 namespace w5::store {
 
 namespace {
@@ -45,7 +43,7 @@ util::Result<difc::LabelState> LabeledStore::caller(os::Pid pid) const {
 
 bool LabeledStore::visible(const Record& record,
                            const difc::Label& clearance) {
-  return difc::cached_subset(record.labels.secrecy, clearance);
+  return record.labels.secrecy.subset_of(clearance);
 }
 
 std::vector<IndexSpec> LabeledStore::specs_snapshot() const {
@@ -273,7 +271,7 @@ void LabeledStore::scan_shards(
                                           Key{collection, low});
       for (; it != keys.end() && in_range(*it); ++it) {
         const Record& record = shard.records.at(*it);
-        if (!difc::cached_subset(record.labels.secrecy, bound)) continue;
+        if (!record.labels.secrecy.subset_of(bound)) continue;
         if (!emit(record)) return;
       }
     };
@@ -320,14 +318,14 @@ void LabeledStore::scan_shards(
       }
       case PlanKind::kLabelScan: {
         util::telemetry_count(plans_scan_);
-        // One memoized clearance check per label *set*; a skipped group's
+        // One clearance check per label *set*; a skipped group's
         // records are never touched at all — simultaneously the perf win
         // and the §3.5 story (unreadable records cost nothing observable).
         bool any_skipped = false;
         std::vector<const std::vector<Key>*> groups;
         for (const auto& [label, keys] : shard.index.by_label) {
           util::telemetry_count(label_groups_checked_);
-          if (difc::cached_subset(label, bound)) {
+          if (label.subset_of(bound)) {
             groups.push_back(&keys);
           } else {
             any_skipped = true;

@@ -20,7 +20,7 @@ struct QueryEngineStats {
   std::uint64_t plans_owner = 0;  // owner posting list
   std::uint64_t plans_scan = 0;   // label-grouped ordered scan
 
-  // Label-set posting-list clearance checks: one memoized subset check
+  // Label-set posting-list clearance checks: one subset check
   // per (group, shard, query). Skipped groups are records the engine
   // never touched at all — the §3.5-friendly fast path.
   std::uint64_t label_groups_checked = 0;

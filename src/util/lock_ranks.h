@@ -54,8 +54,6 @@ inline constexpr int kUserDirectory = 46;       // UserDirectory::mutex_
 inline constexpr int kFileSystem = 48;          // FileSystem::mutex_
 inline constexpr int kKernel = 50;              // Kernel::mutex_
 inline constexpr int kTagRegistry = 52;         // TagRegistry::mutex_
-inline constexpr int kLabelTable = 54;          // LabelTable::mutex_
-inline constexpr int kFlowCache = 56;           // FlowCache::mutex_
 
 // -- Durability/audit leaves of the data plane -------------------------------
 inline constexpr int kAuditLog = 58;            // AuditLog::mutex_

@@ -37,9 +37,9 @@ inline constexpr bool kTelemetryEnabled = false;
 inline constexpr bool kTelemetryEnabled = true;
 #endif
 
-// For components that keep their own raw atomic counters (store shards,
-// flow cache) rather than depending on the registry: increments compile
-// out together with the rest of the telemetry plane.
+// For components that keep their own raw atomic counters (the store's
+// shards and query planner) rather than depending on the registry:
+// increments compile out together with the rest of the telemetry plane.
 inline void telemetry_count(std::atomic<std::uint64_t>& counter,
                             std::uint64_t n = 1) noexcept {
 #ifndef W5_NO_TELEMETRY

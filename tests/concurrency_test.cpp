@@ -1,7 +1,6 @@
 // Concurrency: many worker threads hammering one Provider through the
-// public HTTP surface, plus unit coverage of the flow-memo epoch
-// invalidation that keeps the DIFC fast path sound (DESIGN.md
-// "Concurrency model").
+// public HTTP surface, plus unit coverage that flow verdicts track the
+// current labels and privileges (DESIGN.md "Concurrency model").
 //
 // The provider promises three things under concurrency, each asserted
 // here: no lost updates (a record's version counts every successful
@@ -18,8 +17,6 @@
 #include "core/gateway.h"
 #include "core/provider.h"
 #include "difc/flow.h"
-#include "difc/label_table.h"
-#include "difc/tag_registry.h"
 
 namespace w5 {
 namespace {
@@ -166,37 +163,12 @@ TEST_F(ProviderConcurrencyTest, MixedWorkloadNoLostUpdatesTornReadsOrLeaks) {
   EXPECT_FALSE(events.empty());
 }
 
-// ---- Flow-memo epoch invalidation -------------------------------------------
+// ---- Flow verdicts ----------------------------------------------------------
 
-TEST(FlowMemoTest, EpochBumpInvalidatesCachedVerdicts) {
-  auto& table = difc::LabelTable::instance();
-  auto& cache = difc::FlowCache::instance();
-
-  const difc::Label src{difc::Tag(101), difc::Tag(102)};
-  const difc::Label dst{difc::Tag(101), difc::Tag(102), difc::Tag(103)};
-  const difc::LabelId src_id = table.intern(src);
-  const difc::LabelId dst_id = table.intern(dst);
-
-  cache.insert(src_id, dst_id, true);
-  ASSERT_EQ(cache.lookup(src_id, dst_id), std::optional<bool>(true));
-
-  // An epoch bump makes the entry a miss even though the key matches:
-  // ids minted before the bump no longer mean anything.
-  table.invalidate();
-  EXPECT_EQ(cache.lookup(src_id, dst_id), std::nullopt);
-}
-
-TEST(FlowMemoTest, TagRegistryCreateBumpsEpoch) {
-  const std::uint64_t before = difc::LabelTable::instance().epoch();
-  difc::TagRegistry registry;
-  (void)registry.create("epoch-test", difc::TagPurpose::kSecrecy);
-  EXPECT_GT(difc::LabelTable::instance().epoch(), before);
-}
-
-TEST(FlowMemoTest, ExportVerdictTracksPrivilegeChanges) {
-  // The memo must never freeze a privilege decision: check_export keys
-  // on the *current* removable set, so granting or dropping t- flips
-  // the verdict immediately with no explicit invalidation needed.
+TEST(FlowVerdictTest, ExportVerdictTracksPrivilegeChanges) {
+  // No verdict outlives a privilege change: check_export reads the
+  // *current* removable set, so granting or dropping t- flips the
+  // verdict immediately.
   const difc::Tag t(4242);
   const difc::Label secret{t};
 
@@ -205,16 +177,16 @@ TEST(FlowMemoTest, ExportVerdictTracksPrivilegeChanges) {
 
   EXPECT_TRUE(difc::check_export(secret, with_minus).ok());
   EXPECT_FALSE(difc::check_export(secret, without).ok());
-  // And back again — repeated to push both pairs through the memo.
+  // And back again, repeatedly.
   for (int i = 0; i < 3; ++i) {
     EXPECT_TRUE(difc::check_export(secret, with_minus).ok());
     EXPECT_FALSE(difc::check_export(secret, without).ok());
   }
 }
 
-TEST(FlowMemoTest, CachedSubsetVerdictsStayCorrectUnderRepetition) {
-  // Same pair checked twice: second round is the memo hit path; the
-  // answers must be identical to the cold path.
+TEST(FlowVerdictTest, CachedSubsetVerdictsStayCorrectUnderRepetition) {
+  // Same pairs checked twice: the second round must answer exactly as
+  // the first.
   const difc::Label low{difc::Tag(7)};
   const difc::Label high{difc::Tag(7), difc::Tag(8)};
   for (int round = 0; round < 2; ++round) {

@@ -484,10 +484,12 @@ TEST_F(FaultInjectionFed, BreakerOpensAfterRepeatedSyncFailuresThenRecovers) {
   EXPECT_EQ(rejected.error().code, "fed.circuit_open");
 
   // Breaker state is visible at /metrics (2 = open).
-  EXPECT_EQ(provider_b_.metrics()
-                .gauge("w5_fed_breaker_state{peer=\"providerA\"}")
-                .value(),
-            2);
+  if (util::kTelemetryEnabled) {
+    EXPECT_EQ(provider_b_.metrics()
+                  .gauge("w5_fed_breaker_state{peer=\"providerA\"}")
+                  .value(),
+              2);
+  }
 
   // After the cooldown the half-open probe goes through; the wire is
   // healthy again, so one successful sync re-closes the breaker.
@@ -502,6 +504,23 @@ TEST_F(FaultInjectionFed, BreakerOpensAfterRepeatedSyncFailuresThenRecovers) {
                 .gauge("w5_fed_breaker_state{peer=\"providerA\"}")
                 .value(),
             0);
+}
+
+TEST_F(FaultInjectionFed, StatuszNamesAnOpenBreakerOpen) {
+  if (!util::kTelemetryEnabled) return;  // statusz scrapes the state gauge
+  node_b_.set_retry_policy(RetryPolicy{.max_attempts = 1});
+  fail_first_dials(1000);
+  for (int i = 0; i < 3; ++i) ASSERT_FALSE(node_b_.sync_from("providerA").ok());
+  ASSERT_EQ(node_b_.breaker_for("providerA").state(),
+            CircuitBreaker::State::kOpen);
+
+  const auto response =
+      provider_b_.http(Method::kGet, "/debug/statusz", "", "");
+  ASSERT_EQ(response.status, 200);
+  const auto statusz = util::Json::parse(response.body);
+  ASSERT_TRUE(statusz.ok());
+  EXPECT_EQ(statusz.value().at("fed_breakers").at("providerA").as_string(),
+            "open");
 }
 
 }  // namespace

@@ -94,10 +94,8 @@ TEST(FlowTest, BadUsageExitsTwo) {
 // reorders them fails fast even in builds without the witness.
 TEST(FlowTest, RankRegistryEncodesTheDocumentedOrder) {
   namespace lr = w5::util::lockrank;
-  // Shards append to the WAL and check labels while holding their lock.
+  // Shards append to the WAL while holding their lock.
   EXPECT_LT(lr::kStoreShard, lr::kWal);
-  EXPECT_LT(lr::kStoreShard, lr::kLabelTable);
-  EXPECT_LT(lr::kLabelTable, lr::kFlowCache);
   // The DIFC kernel is leaf-ward of the services that call into it
   // under their own locks (pinned empirically by the witness).
   EXPECT_LT(lr::kUserDirectory, lr::kKernel);

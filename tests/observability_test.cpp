@@ -14,7 +14,6 @@
 #include "core/gateway.h"
 #include "core/provider.h"
 #include "core/trace.h"
-#include "difc/label_table.h"
 #include "net/tracing.h"
 #include "os/thread_pool.h"
 #include "util/log.h"
@@ -287,7 +286,6 @@ TEST_F(ObservabilityGatewayTest, MetricsEndpointServesBothFormats) {
   EXPECT_NE(text.body.find(
                 "w5_route_requests_total{method=\"GET\",route=\"/whoami\"}"),
             std::string::npos);
-  EXPECT_NE(text.body.find("w5_flow_cache_hits"), std::string::npos);
   EXPECT_NE(text.body.find("w5_store_shard_ops{shard=\"15\"}"),
             std::string::npos);
 
@@ -356,12 +354,6 @@ TEST(ObservabilityThreadPool, CountsJobsAndQueueDepth) {
   EXPECT_EQ(pool.active(), 0u);
   EXPECT_GE(pool.max_queue_depth(), 1u);
   pool.shutdown();
-}
-
-TEST(ObservabilityFlowMemo, InvalidationCounterTracksEpochBumps) {
-  const std::uint64_t before = difc::FlowCache::instance().invalidations();
-  difc::LabelTable::instance().invalidate();
-  EXPECT_EQ(difc::FlowCache::instance().invalidations(), before + 1);
 }
 
 // ---- Structured log sink ----------------------------------------------------

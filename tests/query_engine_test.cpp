@@ -76,9 +76,11 @@ TEST_F(QueryEngineTest, FieldIndexServesEqualityQueries) {
   auto result = store_.query(kKernelPid, "profiles", options);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(ids(result.value()), (std::vector<std::string>{"u1", "u3"}));
-  const auto after = store_.query_stats();
-  EXPECT_GT(after.plans_field, before.plans_field);
-  EXPECT_EQ(after.plans_scan, before.plans_scan);
+  if (util::kTelemetryEnabled) {
+    const auto after = store_.query_stats();
+    EXPECT_GT(after.plans_field, before.plans_field);
+    EXPECT_EQ(after.plans_scan, before.plans_scan);
+  }
 }
 
 TEST_F(QueryEngineTest, ScanOnlyModeForcesScanWithIdenticalResults) {
@@ -99,9 +101,11 @@ TEST_F(QueryEngineTest, ScanOnlyModeForcesScanWithIdenticalResults) {
   ASSERT_TRUE(via_index.ok());
   ASSERT_TRUE(via_scan.ok());
   EXPECT_EQ(ids(via_index.value()), ids(via_scan.value()));
-  const auto after = store_.query_stats();
-  EXPECT_GT(after.plans_field, before.plans_field);
-  EXPECT_GT(after.plans_scan, before.plans_scan);
+  if (util::kTelemetryEnabled) {
+    const auto after = store_.query_stats();
+    EXPECT_GT(after.plans_field, before.plans_field);
+    EXPECT_GT(after.plans_scan, before.plans_scan);
+  }
 }
 
 TEST_F(QueryEngineTest, UnindexedEqualityDegradesToFilteredScan) {
@@ -115,9 +119,11 @@ TEST_F(QueryEngineTest, UnindexedEqualityDegradesToFilteredScan) {
   auto result = store_.query(kKernelPid, "profiles", options);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(ids(result.value()), (std::vector<std::string>{"u2"}));
-  const auto after = store_.query_stats();
-  EXPECT_EQ(after.plans_field, before.plans_field);
-  EXPECT_GT(after.plans_scan, before.plans_scan);
+  if (util::kTelemetryEnabled) {
+    const auto after = store_.query_stats();
+    EXPECT_EQ(after.plans_field, before.plans_field);
+    EXPECT_GT(after.plans_scan, before.plans_scan);
+  }
 }
 
 TEST_F(QueryEngineTest, CreateIndexBackfillsExistingRecords) {
@@ -248,7 +254,9 @@ TEST_F(QueryEngineTest, CursorPaginationWalksEveryRecordInOrder) {
   // 100/7 → 15 pages (the 15th returns 2 rows + a cursor onto an empty
   // 16th page is avoided: 14 full pages + 1 short final page).
   EXPECT_EQ(pages, 15u);
-  EXPECT_GT(store_.query_stats().cursor_resumes, before.cursor_resumes);
+  if (util::kTelemetryEnabled) {
+    EXPECT_GT(store_.query_stats().cursor_resumes, before.cursor_resumes);
+  }
 }
 
 TEST_F(QueryEngineTest, MalformedCursorIsRejected) {
@@ -315,9 +323,11 @@ TEST_F(QueryEngineTest, LabelGroupsAboveClearanceAreSkippedWholesale) {
   auto result = store_.query(app, "profiles", {});
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(ids(result.value()), (std::vector<std::string>{"u1"}));
-  const auto after = store_.query_stats();
-  EXPECT_GT(after.label_groups_skipped, before.label_groups_skipped);
-  EXPECT_GT(after.label_groups_checked, before.label_groups_checked);
+  if (util::kTelemetryEnabled) {
+    const auto after = store_.query_stats();
+    EXPECT_GT(after.label_groups_skipped, before.label_groups_skipped);
+    EXPECT_GT(after.label_groups_checked, before.label_groups_checked);
+  }
 }
 
 TEST_F(QueryEngineTest, PlannerNeverChangesResults) {
@@ -418,9 +428,11 @@ TEST_F(QueryEngineTest, OwnerCountRunsThroughTheOwnerIndex) {
   auto counted = store_.count(kKernelPid, "profiles", options);
   ASSERT_TRUE(counted.ok());
   EXPECT_EQ(counted.value(), 10u);
-  const auto after = store_.query_stats();
-  EXPECT_GT(after.plans_owner, before.plans_owner);
-  EXPECT_EQ(after.plans_scan, before.plans_scan);
+  if (util::kTelemetryEnabled) {
+    const auto after = store_.query_stats();
+    EXPECT_GT(after.plans_owner, before.plans_owner);
+    EXPECT_EQ(after.plans_scan, before.plans_scan);
+  }
 }
 
 // ---- Predicate semantics (query.h missing-field contract) --------------------
