@@ -27,7 +27,7 @@
 #include "core/gateway.h"
 #include "core/provider.h"
 #include "net/event_loop_server.h"
-#include "net/http_client.h"
+#include "net/http_parser.h"
 #include "net/tcp.h"
 
 namespace {
@@ -228,7 +228,6 @@ void BM_TcpMixedPipeline_EventLoop(benchmark::State& state) {
   auto dial = w5::net::tcp_connect(fx.listener.port());
   if (!dial.ok()) std::abort();
   std::unique_ptr<w5::net::Connection> conn = std::move(dial.value());
-  w5::net::HttpClient client;
 
   auto roundtrip = [&](Method method, const std::string& target,
                        std::string body) {
@@ -237,10 +236,16 @@ void BM_TcpMixedPipeline_EventLoop(benchmark::State& state) {
     request.target = target;
     request.body = std::move(body);
     request.headers.set("Cookie", cookie);
-    auto response = client.roundtrip(*conn, request);
+    const std::string wire = request.to_wire();
+    const auto send = [&]() -> w5::util::Result<w5::net::HttpResponse> {
+      if (auto written = conn->write(wire); !written.ok())
+        return written.error();
+      return w5::net::read_response(*conn);
+    };
+    auto response = send();
     if (!response.ok()) {  // reaped mid-run: re-dial and carry on
       conn = std::move(w5::net::tcp_connect(fx.listener.port()).value());
-      response = client.roundtrip(*conn, request);
+      response = send();
     }
     benchmark::DoNotOptimize(response.ok() ? response.value().status : 0);
   };

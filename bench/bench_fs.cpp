@@ -1,8 +1,9 @@
-// Supplemental — labeled filesystem and the Unix-facade syscall layer:
-// per-op costs with labels on the path vs the raw std::string baseline.
+// Supplemental — the labeled filesystem: per-op costs with labels on
+// the path.
 #include <benchmark/benchmark.h>
 
-#include "os/syscalls.h"
+#include "os/filesystem.h"
+#include "os/kernel.h"
 
 namespace {
 
@@ -12,17 +13,12 @@ using w5::difc::ObjectLabels;
 using w5::difc::plus;
 using w5::difc::Tag;
 using w5::os::FileSystem;
-using w5::os::IpcBus;
 using w5::os::Kernel;
 using w5::os::kKernelPid;
-using w5::os::OpenMode;
-using w5::os::Syscalls;
 
 struct FsFixture {
   Kernel kernel;
   FileSystem fs{kernel};
-  IpcBus ipc{kernel};
-  Syscalls sys{kernel, fs, ipc};
   Tag secret;
   w5::os::Pid app;
 
@@ -80,36 +76,5 @@ void BM_FsStatAndList(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_FsStatAndList);
-
-void BM_SyscallReadLoop(benchmark::State& state) {
-  FsFixture fx(65536);
-  for (auto _ : state) {
-    auto fd = fx.sys.open(fx.app, "/users/data.txt", OpenMode::kRead);
-    std::size_t total = 0;
-    while (true) {
-      auto chunk = fx.sys.read(fx.app, fd.value(), 4096);
-      if (!chunk.ok() || chunk.value().empty()) break;
-      total += chunk.value().size();
-    }
-    (void)fx.sys.close(fx.app, fd.value());
-    if (total != 65536) state.SkipWithError("short read");
-  }
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          65536);
-}
-BENCHMARK(BM_SyscallReadLoop);
-
-void BM_SyscallPipePingPong(benchmark::State& state) {
-  FsFixture fx(64);
-  const auto other =
-      fx.kernel.spawn_trusted("other", LabelState({}, {}, {}));
-  auto fds = fx.sys.pipe(fx.app, other).value();
-  const std::string payload(256, 'p');
-  for (auto _ : state) {
-    (void)fx.sys.write(fx.app, fds.first, payload);
-    benchmark::DoNotOptimize(fx.sys.read(other, fds.second, 1024));
-  }
-}
-BENCHMARK(BM_SyscallPipePingPong);
 
 }  // namespace

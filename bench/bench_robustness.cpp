@@ -22,7 +22,6 @@
 #include <vector>
 
 #include "net/fault.h"
-#include "net/http_client.h"
 #include "net/http_session.h"
 #include "net/transport.h"
 #include "os/thread_pool.h"

@@ -15,7 +15,7 @@
 #include "apps/apps.h"
 #include "core/gateway.h"
 #include "core/provider.h"
-#include "net/http_client.h"
+#include "net/http_parser.h"
 #include "net/tcp.h"
 
 using w5::net::Method;
@@ -55,8 +55,10 @@ int main(int argc, char** argv) {
   request.target = "/stats";
   request.parsed = *w5::net::parse_request_target("/stats");
   request.headers.set("Connection", "close");
-  w5::net::HttpClient http_client;
-  auto response = http_client.roundtrip(*client.value(), request);
+  using Response = w5::util::Result<w5::net::HttpResponse>;
+  auto written = client.value()->write(request.to_wire());
+  Response response = written.ok() ? w5::net::read_response(*client.value())
+                                   : Response(written.error());
   client.value()->close();
   listener.close();  // the reactor notices and serve() returns
   server_thread.join();

@@ -120,7 +120,7 @@ notelemetry_stage() {
   # The E13 no-op baseline build: every counter/gauge update compiles
   # away, so each test must hold on its non-telemetry signals there too.
   cmake -B build-notelemetry -S . -DW5_NO_TELEMETRY=ON >/dev/null
-  cmake --build build-notelemetry -j "$jobs" --target w5_tests
+  cmake --build build-notelemetry -j "$jobs" --target w5_tests examples
   (cd build-notelemetry && ctest --output-on-failure -j "$jobs")
 }
 

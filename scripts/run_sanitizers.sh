@@ -6,7 +6,7 @@
 #   scripts/run_sanitizers.sh asan       # just the ASan+UBSan leg
 #
 # TSan runs the tests that actually spin threads (the provider hammer,
-# the TCP end-to-end serving path, thread-pool and IPC tests, the
+# the TCP end-to-end serving path, thread-pool tests, the
 # fault-injection/robustness chaos suites — injected resets and reaping
 # race real worker threads — and the reactor-vs-pipe differential); running the whole suite under TSan adds
 # minutes for zero extra interleavings. ASan+UBSan run everything, with
@@ -34,7 +34,7 @@ run_tsan() {
   cmake --build build-tsan -j "$jobs" --target w5_tests
   TSAN_OPTIONS="halt_on_error=1" \
     ./build-tsan/tests/w5_tests \
-    --gtest_filter='*Concurrency*:*FlowVerdict*:*TcpEndToEnd*:*ThreadPool*:*Ipc*:*Observability*:*FaultInjection*:*NetRobustness*:*EventLoopServer*:*HttpSession*:*TimerWheel*:*Metasearch*:*Federation*:*FedTracing*'
+    --gtest_filter='*Concurrency*:*FlowVerdict*:*TcpEndToEnd*:*ThreadPool*:*Observability*:*FaultInjection*:*NetRobustness*:*EventLoopServer*:*HttpSession*:*TimerWheel*:*Metasearch*:*Federation*:*FedTracing*'
 }
 
 run_asan() {

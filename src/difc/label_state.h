@@ -38,7 +38,7 @@ class LabelState {
   util::Status set_secrecy(const Label& to);
   util::Status set_integrity(const Label& to);
 
-  // Raise-only convenience used by auto-raise endpoints: adds exactly the
+  // Raise-only convenience used by auto-raise reads: adds exactly the
   // tags in `tags` to S. Raising secrecy requires t+ for each new tag.
   util::Status raise_secrecy(const Label& tags);
 

@@ -436,16 +436,10 @@ util::Result<net::HttpResponse> exchange(
     return written.error();
   if (auto pumped = network.pump(address); !pumped.ok())
     return pumped.error();
-  net::ResponseParser parser;
-  while (!parser.complete() && !parser.failed()) {
-    auto bytes = connection->read_available();
-    if (!bytes.ok()) return bytes.error();
-    if (bytes.value().empty())
-      return util::make_error("fed.protocol", "peer sent no response");
-    parser.feed(bytes.value());
-  }
-  if (parser.failed()) return parser.error();
-  return parser.take();
+  auto response = net::read_response(*connection);
+  if (!response.ok() && response.error().code == "http.incomplete")
+    return util::make_error("fed.protocol", "peer sent no response");
+  return response;
 }
 
 util::Result<SyncStats> Node::apply_records(const std::string& peer,

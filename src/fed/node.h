@@ -172,10 +172,11 @@ class Node {
 // One federation round trip on the in-memory wire, shared by sync pulls
 // and metasearch hops: dial "fed://<peer>", wrap the connection with
 // `decorate` (when set), write the serialized request, pump the peer's
-// listener and parse one response. It touches no RequestContext, so a
-// metasearch hop thread can run it on wire bytes built on the request
-// thread. A peer that answers nothing is "fed.protocol" — final, unlike
-// the retryable "http.incomplete" of net::HttpClient.
+// listener and read one response with net::read_response. It touches no
+// RequestContext, so a metasearch hop thread can run it on wire bytes
+// built on the request thread. A peer that answers nothing (or only part
+// of a response) is "fed.protocol": final, where read_response's
+// "http.incomplete" would be retryable.
 util::Result<net::HttpResponse> exchange(
     net::InMemoryNetwork& network, const std::string& peer,
     const std::string& wire, const Node::ConnectionDecorator& decorate);

@@ -1,9 +1,9 @@
 // Retry with exponential backoff + decorrelating jitter.
 //
-// One policy type shared by the HTTP client, the federation sync path,
-// and the chaos suite. Delays are derived from a seeded util::Rng, so a
-// fixed seed reproduces the exact retry timeline — the fault-injection
-// harness depends on that determinism. Sleeping is injected (SleepFn):
+// One policy type shared by the federation sync path and the chaos
+// suite. Delays are derived from a seeded util::Rng, so a fixed seed
+// reproduces the exact retry timeline — the fault-injection harness
+// depends on that determinism. Sleeping is injected (SleepFn):
 // production callers pass a real sleeper, tests pass a recorder, and the
 // in-memory transports pass a no-op.
 #pragma once

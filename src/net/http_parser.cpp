@@ -1,5 +1,6 @@
 #include "net/http_parser.h"
 
+#include "net/transport.h"
 #include "util/strings.h"
 
 namespace w5::net {
@@ -234,6 +235,21 @@ HttpResponse ResponseParser::take() {
 
 void ResponseParser::reset() {
   *this = ResponseParser(limits_);
+}
+
+util::Result<HttpResponse> read_response(Connection& connection,
+                                         ParserLimits limits) {
+  ResponseParser parser(limits);
+  char buf[64 * 1024];
+  while (!parser.complete() && !parser.failed()) {
+    auto n = connection.read(buf, sizeof(buf));
+    if (!n.ok()) return n.error();
+    if (n.value() == 0)
+      return util::make_error("http.incomplete", "EOF before full response");
+    parser.feed(std::string_view(buf, n.value()));
+  }
+  if (parser.failed()) return parser.error();
+  return parser.take();
 }
 
 }  // namespace w5::net

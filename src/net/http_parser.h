@@ -19,6 +19,8 @@
 
 namespace w5::net {
 
+class Connection;
+
 struct ParserLimits {
   std::size_t max_line_bytes = 8 * 1024;
   std::size_t max_header_count = 100;
@@ -126,5 +128,12 @@ class ResponseParser final : public detail::MessageParser {
   ParserLimits limits_;
   HttpResponse response_;
 };
+
+// Reads one response off `connection`: the one read loop for bytes
+// coming back from a peer (tests, examples and fed::exchange). Transport
+// errors pass through as they are; EOF before a complete response is
+// "http.incomplete".
+util::Result<HttpResponse> read_response(Connection& connection,
+                                         ParserLimits limits = {});
 
 }  // namespace w5::net

@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
 #include "difc/capability.h"
+#include "difc/codec.h"
 #include "difc/flow.h"
 #include "difc/label_state.h"
+#include "difc/tag_registry.h"
 #include "util/rng.h"
 
 namespace w5::difc {
@@ -132,6 +134,71 @@ TEST(FlowTest, JoinCombinesLabels) {
   const ObjectLabels j = join(a, b);
   EXPECT_EQ(j.secrecy, (Label{t(1), t(2)}));
   EXPECT_EQ(j.integrity, Label{t(6)});  // integrity meets (weakest)
+}
+
+TEST(TagRegistryTest, AllocatesDistinctValidTags) {
+  TagRegistry registry;
+  const Tag a = registry.create("sec(alice)", TagPurpose::kSecrecy, "alice");
+  const Tag b = registry.create("wp(alice)", TagPurpose::kIntegrity, "alice");
+  EXPECT_TRUE(a.valid());
+  EXPECT_NE(a, b);
+  EXPECT_EQ(registry.size(), 2u);
+  ASSERT_NE(registry.find(a), nullptr);
+  EXPECT_EQ(registry.find(a)->name, "sec(alice)");
+  EXPECT_EQ(registry.find(a)->purpose, TagPurpose::kSecrecy);
+  EXPECT_EQ(registry.describe(a), "sec(alice)");
+  EXPECT_EQ(registry.describe(Tag(999)), "t999");
+}
+
+TEST(TagRegistryTest, JsonRoundTrip) {
+  TagRegistry registry;
+  registry.create("sec(bob)", TagPurpose::kSecrecy, "bob");
+  registry.create("wp(bob)", TagPurpose::kIntegrity, "bob");
+  registry.create("rp(bob)", TagPurpose::kReadProtect, "bob");
+
+  auto restored = TagRegistry::from_json(registry.to_json());
+  ASSERT_TRUE(restored.ok());
+  EXPECT_EQ(restored.value().size(), 3u);
+  EXPECT_EQ(restored.value().describe(Tag(1)), "sec(bob)");
+  // Allocation continues after the persisted ids.
+  const Tag next = restored.value().create("x", TagPurpose::kOther);
+  EXPECT_EQ(next.id(), 4u);
+}
+
+TEST(TagRegistryTest, RejectsCorruptJson) {
+  EXPECT_FALSE(TagRegistry::from_json(util::Json("nope")).ok());
+  auto bad_id = util::Json::parse(
+      R"({"next_id":2,"tags":[{"id":5,"name":"x","purpose":"other","owner":""}]})");
+  ASSERT_TRUE(bad_id.ok());
+  EXPECT_FALSE(TagRegistry::from_json(bad_id.value()).ok());
+  auto bad_purpose = util::Json::parse(
+      R"({"next_id":2,"tags":[{"id":1,"name":"x","purpose":"wat","owner":""}]})");
+  ASSERT_TRUE(bad_purpose.ok());
+  EXPECT_FALSE(TagRegistry::from_json(bad_purpose.value()).ok());
+}
+
+TEST(CodecTest, LabelRoundTrip) {
+  const Label l{t(3), t(1), t(9)};
+  auto parsed = label_from_json(label_to_json(l));
+  ASSERT_TRUE(parsed.ok());
+  EXPECT_EQ(parsed.value(), l);
+  EXPECT_FALSE(label_from_json(util::Json("x")).ok());
+  EXPECT_FALSE(label_from_json(util::Json::array({0})).ok());
+}
+
+TEST(CodecTest, ObjectLabelsRoundTrip) {
+  const ObjectLabels labels{Label{t(1)}, Label{t(2), t(3)}};
+  auto parsed = object_labels_from_json(object_labels_to_json(labels));
+  ASSERT_TRUE(parsed.ok());
+  EXPECT_EQ(parsed.value(), labels);
+}
+
+TEST(CodecTest, CapabilitySetRoundTrip) {
+  const CapabilitySet caps{plus(t(1)), minus(t(1)), minus(t(7))};
+  auto parsed = capability_set_from_json(capability_set_to_json(caps));
+  ASSERT_TRUE(parsed.ok());
+  EXPECT_EQ(parsed.value(), caps);
+  EXPECT_FALSE(capability_set_from_json(util::Json(1)).ok());
 }
 
 // ---- Property suite: soundness and completeness of the safe-change rule.

@@ -630,6 +630,8 @@ TEST(DurabilityProviderTest, BackgroundCompactorCheckpoints) {
   ASSERT_TRUE(provider.signup("bob", "bobpw").ok());  // 5 WAL entries
   // Wait (bounded) for the compactor to notice and checkpoint: the
   // renamed snapshot file is the checkpoint's signal in every build.
+  // The checkpoint renames the snapshot into place before it bumps the
+  // counter, so with telemetry on the wait covers the counter too.
   const auto snapshot_exists = [&] {
     for (const auto& entry : fs::directory_iterator(dir.path()))
       if (entry.path().filename().string().starts_with("snapshot-") &&
@@ -637,7 +639,13 @@ TEST(DurabilityProviderTest, BackgroundCompactorCheckpoints) {
         return true;
     return false;
   };
-  for (int i = 0; i < 500 && !snapshot_exists(); ++i)
+  const auto checkpoint_done = [&] {
+    return snapshot_exists() &&
+           (!util::kTelemetryEnabled ||
+            provider.metrics().counter("w5_wal_checkpoints_total").value() >
+                0u);
+  };
+  for (int i = 0; i < 500 && !checkpoint_done(); ++i)
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
   EXPECT_TRUE(snapshot_exists());
   if (util::kTelemetryEnabled) {

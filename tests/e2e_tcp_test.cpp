@@ -9,7 +9,7 @@
 #include "apps/apps.h"
 #include "core/gateway.h"
 #include "core/provider.h"
-#include "net/http_client.h"
+#include "net/http_parser.h"
 #include "net/tcp.h"
 
 namespace w5 {
@@ -48,8 +48,8 @@ class TcpEndToEnd : public ::testing::Test {
     request.body = body;
     request.headers.set("Connection", "close");
     if (!cookie.empty()) request.headers.set("Cookie", cookie);
-    net::HttpClient client;
-    auto response = client.roundtrip(*connection.value(), request);
+    EXPECT_TRUE(connection.value()->write(request.to_wire()).ok());
+    auto response = net::read_response(*connection.value());
     EXPECT_TRUE(response.ok()) << response.ok();
     return response.ok() ? response.value() : HttpResponse{};
   }
@@ -95,15 +95,9 @@ TEST_F(TcpEndToEnd, MalformedWireBytesGet400) {
   auto connection = net::tcp_connect(port());
   ASSERT_TRUE(connection.ok());
   ASSERT_TRUE(connection.value()->write("GARBAGE\r\n\r\n").ok());
-  net::ResponseParser parser;
-  char buf[4096];
-  while (!parser.complete() && !parser.failed()) {
-    auto n = connection.value()->read(buf, sizeof(buf));
-    if (!n.ok() || n.value() == 0) break;
-    parser.feed(std::string_view(buf, n.value()));
-  }
-  ASSERT_TRUE(parser.complete());
-  EXPECT_EQ(parser.take().status, 400);
+  auto response = net::read_response(*connection.value());
+  ASSERT_TRUE(response.ok()) << response.error().code;
+  EXPECT_EQ(response.value().status, 400);
 }
 
 TEST(TcpEndToEndDispatch, PooledAppDispatchServesThroughWorkerPool) {
@@ -120,12 +114,12 @@ TEST(TcpEndToEndDispatch, PooledAppDispatchServesThroughWorkerPool) {
 
   auto connection = net::tcp_connect(listener.port());
   ASSERT_TRUE(connection.ok());
-  net::HttpClient client;
   HttpRequest request;
   request.method = Method::kGet;
   request.target = "/stats";
   request.headers.set("Connection", "close");
-  auto response = client.roundtrip(*connection.value(), request);
+  ASSERT_TRUE(connection.value()->write(request.to_wire()).ok());
+  auto response = net::read_response(*connection.value());
   ASSERT_TRUE(response.ok()) << response.error().code;
   EXPECT_EQ(response.value().status, 200);
 
@@ -138,12 +132,12 @@ TEST_F(TcpEndToEnd, KeepAliveSessionReusesOneConnection) {
   // gateway's session handling all hold on a reused socket.
   auto connection = net::tcp_connect(port());
   ASSERT_TRUE(connection.ok());
-  net::HttpClient client;
   for (int i = 0; i < 3; ++i) {
     HttpRequest request;
     request.method = Method::kGet;
     request.target = "/stats";
-    auto response = client.roundtrip(*connection.value(), request);
+    ASSERT_TRUE(connection.value()->write(request.to_wire()).ok());
+    auto response = net::read_response(*connection.value());
     ASSERT_TRUE(response.ok()) << response.error().code;
     EXPECT_EQ(response.value().status, 200);
   }

@@ -1,12 +1,9 @@
-// §3.2 editors over HTTP: endorsement, adoption-weighted credit, and the
-// difc endpoint-safety property suite.
+// §3.2 editors over HTTP: endorsement and adoption-weighted credit.
 #include <gtest/gtest.h>
 
 #include "apps/apps.h"
 #include "core/gateway.h"
 #include "core/provider.h"
-#include "difc/endpoint.h"
-#include "util/rng.h"
 
 namespace w5 {
 namespace {
@@ -82,38 +79,6 @@ TEST(EndorseEndpointTest, AdoptionCreditsTheEndorsingEditor) {
   EXPECT_LT(board.editor_weight("latecomer"),
             board.editor_weight("early-bird"));
 }
-
-// ---- Property: endpoint safety is exactly reachability of the endpoint
-// labels under the owner's authority.
-class EndpointSafetyProperty
-    : public ::testing::TestWithParam<std::uint64_t> {};
-
-TEST_P(EndpointSafetyProperty, SafeForMatchesChangeIsSafe) {
-  util::Rng rng(GetParam());
-  for (int round = 0; round < 400; ++round) {
-    std::vector<difc::Tag> s_owner, i_owner, s_ep, i_ep;
-    std::vector<difc::Capability> caps;
-    for (std::uint64_t id = 1; id <= 6; ++id) {
-      const difc::Tag tag(id);
-      if (rng.next_bool()) s_owner.push_back(tag);
-      if (rng.next_bool(0.3)) i_owner.push_back(tag);
-      if (rng.next_bool()) s_ep.push_back(tag);
-      if (rng.next_bool(0.3)) i_ep.push_back(tag);
-      if (rng.next_bool(0.4)) caps.push_back(difc::plus(tag));
-      if (rng.next_bool(0.4)) caps.push_back(difc::minus(tag));
-    }
-    const difc::LabelState owner{difc::Label(s_owner), difc::Label(i_owner),
-                                 difc::CapabilitySet(caps)};
-    const difc::Endpoint endpoint{difc::Label(s_ep), difc::Label(i_ep)};
-    const bool expected =
-        owner.change_is_safe(owner.secrecy(), endpoint.secrecy()) &&
-        owner.change_is_safe(owner.integrity(), endpoint.integrity());
-    EXPECT_EQ(endpoint.safe_for(owner), expected);
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, EndpointSafetyProperty,
-                         ::testing::Values(7, 8, 9));
 
 }  // namespace
 }  // namespace w5

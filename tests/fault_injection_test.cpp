@@ -1,7 +1,7 @@
 // The deterministic fault-injection harness (DESIGN.md §12): scripted
-// and seeded fault schedules, retry/backoff, the per-peer circuit
-// breaker, and a seeded chaos sweep over the in-memory HTTP driver —
-// every suite here replays identically for a fixed seed.
+// and seeded fault schedules, backoff, the per-peer circuit breaker,
+// the federation retry loop, and a seeded chaos sweep over the in-memory
+// HTTP driver — every suite here replays identically for a fixed seed.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -14,7 +14,6 @@
 #include "net/backoff.h"
 #include "net/circuit_breaker.h"
 #include "net/fault.h"
-#include "net/http_client.h"
 #include "net/http_session.h"
 #include "net/transport.h"
 #include "util/clock.h"
@@ -227,110 +226,6 @@ TEST(FaultInjectionBreaker, HalfOpenProbeReopensOnFailure) {
   EXPECT_FALSE(breaker.allow());  // cooldown restarted
   clock.advance(500'000);
   EXPECT_TRUE(breaker.allow());
-}
-
-// A factory over in-memory pipes whose server side answers each dial
-// according to a script of behaviors.
-enum class ServerMood { kHealthy, kResetting, kBusy };
-
-ConnectionFactory scripted_server(std::vector<ServerMood> moods,
-                                  std::shared_ptr<int> dials) {
-  return [moods = std::move(moods),
-          dials]() -> util::Result<std::unique_ptr<Connection>> {
-    const ServerMood mood = static_cast<std::size_t>(*dials) < moods.size()
-                                ? moods[static_cast<std::size_t>(*dials)]
-                                : ServerMood::kHealthy;
-    ++*dials;
-    auto [client, server] = make_pipe();
-    switch (mood) {
-      case ServerMood::kHealthy: {
-        HttpResponse ok = HttpResponse::text(200, "fine");
-        ok.headers.set("Connection", "close");
-        (void)server->write(ok.to_wire());
-        break;
-      }
-      case ServerMood::kBusy: {
-        HttpResponse busy = HttpResponse::text(503, "overloaded\n");
-        busy.headers.set("Retry-After", "1");
-        busy.headers.set("Connection", "close");
-        (void)server->write(busy.to_wire());
-        break;
-      }
-      case ServerMood::kResetting:
-        server->close();  // EOF before any response → http.incomplete
-        break;
-    }
-    return std::unique_ptr<Connection>(std::move(client));
-  };
-}
-
-TEST(FaultInjectionRetry, FlappingServerSucceedsWithinBudget) {
-  auto dials = std::make_shared<int>(0);
-  std::vector<util::Micros> slept;
-  HttpClient client;
-  HttpClient::RetryStats stats;
-  RetryPolicy policy;
-  policy.max_attempts = 3;
-  policy.initial_backoff = 1000;
-  auto response = client.roundtrip_with_retry(
-      scripted_server({ServerMood::kResetting, ServerMood::kResetting,
-                       ServerMood::kHealthy},
-                      dials),
-      HttpRequest{}, policy, recording_sleep(slept), &stats);
-  ASSERT_TRUE(response.ok());
-  EXPECT_EQ(response.value().status, 200);
-  EXPECT_EQ(stats.attempts, 3);
-  EXPECT_EQ(*dials, 3);
-  EXPECT_EQ(slept.size(), 2u);  // waited before attempts 2 and 3
-}
-
-TEST(FaultInjectionRetry, ExhaustedBudgetReturnsLastError) {
-  auto dials = std::make_shared<int>(0);
-  std::vector<util::Micros> slept;
-  HttpClient client;
-  RetryPolicy policy;
-  policy.max_attempts = 3;
-  auto response = client.roundtrip_with_retry(
-      scripted_server({ServerMood::kResetting, ServerMood::kResetting,
-                       ServerMood::kResetting, ServerMood::kResetting},
-                      dials),
-      HttpRequest{}, policy, recording_sleep(slept));
-  ASSERT_FALSE(response.ok());
-  EXPECT_EQ(response.error().code, "http.incomplete");
-  EXPECT_EQ(*dials, 3);  // exactly max_attempts dials, no more
-}
-
-TEST(FaultInjectionRetry, HonorsRetryAfterButCapsAtPolicyMax) {
-  auto dials = std::make_shared<int>(0);
-  std::vector<util::Micros> slept;
-  HttpClient client;
-  RetryPolicy policy;
-  policy.max_attempts = 2;
-  policy.initial_backoff = 10;
-  policy.max_backoff = 200'000;  // < the server's 1s Retry-After
-  auto response = client.roundtrip_with_retry(
-      scripted_server({ServerMood::kBusy, ServerMood::kHealthy}, dials),
-      HttpRequest{}, policy, recording_sleep(slept));
-  ASSERT_TRUE(response.ok());
-  EXPECT_EQ(response.value().status, 200);
-  ASSERT_EQ(slept.size(), 1u);
-  // The 1s hint was respected up to the cap: longer than the tiny
-  // backoff, but never past max_backoff.
-  EXPECT_EQ(slept[0], 200'000);
-}
-
-TEST(FaultInjectionRetry, NonRetryableStatusReturnsImmediately) {
-  auto dials = std::make_shared<int>(0);
-  HttpClient client;
-  RetryPolicy policy;
-  policy.max_attempts = 5;
-  // Healthy server returning 200: one dial, done. (4xx/5xx-other-than-503
-  // would behave the same — only 503 retries.)
-  auto response = client.roundtrip_with_retry(
-      scripted_server({ServerMood::kHealthy}, dials), HttpRequest{}, policy,
-      no_sleep());
-  ASSERT_TRUE(response.ok());
-  EXPECT_EQ(*dials, 1);
 }
 
 // ---- Seeded chaos sweep over the in-memory HTTP driver --------------------

@@ -68,6 +68,18 @@ TEST(FlowTest, FlagsInterproceduralTaintLeakWithCallChain) {
   EXPECT_NE(r.output.find("1 violation(s)"), std::string::npos) << r.output;
 }
 
+TEST(FlowTest, FlagsRecordBytesOnTheFederationWireWithCallChain) {
+  const FlowResult r = run_flow(fixture("flow_taint_egress"));
+  EXPECT_EQ(r.exit_code, 1) << r.output;
+  EXPECT_NE(r.output.find("[taint]"), std::string::npos) << r.output;
+  EXPECT_NE(r.output.find("share_note"), std::string::npos) << r.output;
+  EXPECT_NE(r.output.find("send_to_peer -> exchange()"), std::string::npos)
+      << r.output;
+  // std::exchange and a member .exchange() on the same bytes are not
+  // egress: the fed hop is the only finding.
+  EXPECT_NE(r.output.find("1 violation(s)"), std::string::npos) << r.output;
+}
+
 TEST(FlowTest, FlagsAbbaLockCycleWithBothSites) {
   const FlowResult r = run_flow(fixture("flow_lockcycle"));
   EXPECT_EQ(r.exit_code, 1) << r.output;

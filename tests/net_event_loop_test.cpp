@@ -18,7 +18,7 @@
 
 #include "net/event_loop_server.h"
 #include "net/fault.h"
-#include "net/http_client.h"
+#include "net/http_parser.h"
 #include "net/tcp.h"
 #include "net/timer_wheel.h"
 #include "net/tracing.h"
@@ -107,22 +107,6 @@ TEST(TimerWheel, NextDeadlineBracketsTheEarliestEntry) {
 
 HttpResponse echo_handler(const HttpRequest& request) {
   return HttpResponse::text(200, "echo:" + request.body);
-}
-
-// Reads one full HTTP response off a raw connection (blocking reads).
-util::Result<HttpResponse> read_response(Connection& connection) {
-  ResponseParser parser;
-  char buf[4096];
-  while (!parser.complete() && !parser.failed()) {
-    auto n = connection.read(buf, sizeof(buf));
-    if (!n.ok()) return n.error();
-    if (n.value() == 0) break;
-    parser.feed(std::string_view(buf, n.value()));
-  }
-  if (parser.failed()) return parser.error();
-  if (!parser.complete())
-    return util::make_error("http.incomplete", "EOF before full response");
-  return parser.take();
 }
 
 // Reads back-to-back pipelined responses: one TCP segment packs several
@@ -218,8 +202,8 @@ TEST(EventLoopServer, RoundtripAndShutdownCount) {
   request.target = "/echo";
   request.body = "hello";
   request.headers.set("Connection", "close");
-  HttpClient http;
-  auto response = http.roundtrip(*client.value(), request);
+  ASSERT_TRUE(client.value()->write(request.to_wire()).ok());
+  auto response = read_response(*client.value());
   ASSERT_TRUE(response.ok()) << response.error().code;
   EXPECT_EQ(response.value().status, 200);
   EXPECT_EQ(response.value().body, "echo:hello");
@@ -333,8 +317,8 @@ TEST(EventLoopServer, SlowHeaderClientIsReapedWith408) {
   request.target = "/ok";
   request.body = "after-reap";
   request.headers.set("Connection", "close");
-  HttpClient http;
-  auto ok = http.roundtrip(*healthy.value(), request);
+  ASSERT_TRUE(healthy.value()->write(request.to_wire()).ok());
+  auto ok = read_response(*healthy.value());
   ASSERT_TRUE(ok.ok()) << ok.error().code;
   EXPECT_EQ(ok.value().body, "echo:after-reap");
 }
@@ -520,8 +504,8 @@ TEST(EventLoopServer, StageTelemetryReportsOrderedStamps) {
     HttpRequest request;
     request.target = "/";
     request.headers.set("Connection", "close");
-    HttpClient http;
-    auto response = http.roundtrip(*client.value(), request);
+    ASSERT_TRUE(client.value()->write(request.to_wire()).ok());
+    auto response = read_response(*client.value());
     ASSERT_TRUE(response.ok()) << response.error().code;
     EXPECT_EQ(response.value().status, 200);
   }
@@ -669,8 +653,8 @@ TEST(EventLoopServer, InjectedShortReadsReassemble) {
   request.target = "/echo";
   request.body = "fragmented";
   request.headers.set("Connection", "close");
-  HttpClient http;
-  auto response = http.roundtrip(*client.value(), request);
+  ASSERT_TRUE(client.value()->write(request.to_wire()).ok());
+  auto response = read_response(*client.value());
   ASSERT_TRUE(response.ok()) << response.error().code;
   EXPECT_EQ(response.value().body, "echo:fragmented");
 }
@@ -716,8 +700,8 @@ TEST(EventLoopServer, InjectedResetIsCountedAndServerSurvives) {
   request.target = "/ok";
   request.body = "alive";
   request.headers.set("Connection", "close");
-  HttpClient http;
-  auto response = http.roundtrip(*healthy.value(), request);
+  ASSERT_TRUE(healthy.value()->write(request.to_wire()).ok());
+  auto response = read_response(*healthy.value());
   ASSERT_TRUE(response.ok()) << response.error().code;
   EXPECT_EQ(response.value().body, "echo:alive");
 }
@@ -775,8 +759,8 @@ TEST(EventLoopServer, MultipleLoopsShareTheAcceptStream) {
     request.target = "/echo";
     request.body = "loop" + std::to_string(i);
     request.headers.set("Connection", "close");
-    HttpClient http;
-    auto response = http.roundtrip(*client.value(), request);
+    ASSERT_TRUE(client.value()->write(request.to_wire()).ok());
+    auto response = read_response(*client.value());
     ASSERT_TRUE(response.ok()) << response.error().code;
     EXPECT_EQ(response.value().body, "echo:loop" + std::to_string(i));
   }

@@ -15,7 +15,7 @@
 #include <thread>
 
 #include "core/provider.h"
-#include "net/http_client.h"
+#include "net/http_parser.h"
 #include "net/tcp.h"
 #include "util/clock.h"
 
@@ -23,22 +23,6 @@ namespace w5::net {
 namespace {
 
 using namespace std::chrono_literals;
-
-// Reads one full HTTP response off a raw connection (blocking reads).
-util::Result<HttpResponse> read_response(Connection& connection) {
-  ResponseParser parser;
-  char buf[4096];
-  while (!parser.complete() && !parser.failed()) {
-    auto n = connection.read(buf, sizeof(buf));
-    if (!n.ok()) return n.error();
-    if (n.value() == 0) break;
-    parser.feed(std::string_view(buf, n.value()));
-  }
-  if (parser.failed()) return parser.error();
-  if (!parser.complete())
-    return util::make_error("http.incomplete", "EOF before full response");
-  return parser.take();
-}
 
 // A provider serving one listener on its own thread.
 class FrontDoor {
@@ -64,8 +48,10 @@ class FrontDoor {
     HttpRequest request;
     request.target = "/stats";
     request.headers.set("Connection", "close");
-    HttpClient http;
-    return http.roundtrip(*connection.value(), request);
+    if (auto written = connection.value()->write(request.to_wire());
+        !written.ok())
+      return written.error();
+    return read_response(*connection.value());
   }
 
  private:

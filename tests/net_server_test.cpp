@@ -2,8 +2,8 @@
 
 #include <thread>
 
-#include "net/http_client.h"
 #include "net/event_loop_server.h"
+#include "net/http_parser.h"
 #include "net/http_session.h"
 #include "net/router.h"
 #include "net/tcp.h"
@@ -93,7 +93,6 @@ TEST(HttpServerTest, ServesOneRequestOverPipe) {
 
 TEST(HttpServerTest, KeepAliveHandlesSequentialRequests) {
   auto [client, server] = make_pipe();
-  HttpClient http_client;
 
   for (int i = 0; i < 3; ++i) {
     HttpRequest request;
@@ -268,13 +267,13 @@ TEST(TcpTest, RoundTripOverRealSockets) {
 
   auto client = tcp_connect(port);
   ASSERT_TRUE(client.ok());
-  HttpClient http_client;
   HttpRequest request;
   request.method = Method::kPost;
   request.target = "/tcp";
   request.body = "over the wire";
   request.headers.set("Connection", "close");
-  auto response = http_client.roundtrip(*client.value(), request);
+  ASSERT_TRUE(client.value()->write(request.to_wire()).ok());
+  auto response = read_response(*client.value());
   ASSERT_TRUE(response.ok());
   EXPECT_EQ(response.value().status, 200);
   EXPECT_EQ(response.value().body, "POST /tcp body=over the wire");

@@ -82,17 +82,19 @@ const std::vector<std::string> kGateCalls = {"decide", "check_export"};
 
 // Sink calls: member/free functions whose string-ish arguments become
 // externally visible bytes (log lines, metric names, trace notes, span
-// labels, outbound HTTP). Receiving record-derived data here uncleansed
-// is the violation.
+// labels, wire bytes sent to a peer). Receiving record-derived data here
+// uncleansed is the violation. A "ns::name" entry is a free function:
+// it matches only the unqualified or ns::-qualified call, never a member
+// call (fd_.exchange(...)) or another namespace's (std::exchange).
 const std::vector<std::string> kSinkCalls = {
     // util/log sink
     "log_debug", "log_info", "log_warn", "log_error",
     // util/metrics: metric *names* (the values are integral)
     "counter", "gauge", "histogram", "observe_with_exemplar",
     // core/trace + net/tracing: spans, notes, routes
-    "add_span", "set_note", "set_route", "set_parent_span", "append_spans",
-    // net::HttpClient egress
-    "roundtrip", "roundtrip_with_retry"};
+    "add_span", "set_note", "set_route", "append_spans",
+    // federation egress: the one hop that writes bytes to a peer
+    "fed::exchange"};
 
 const std::set<std::string> kKeywords = {
     "if",     "for",    "while",   "switch",   "catch",    "return",
@@ -216,8 +218,9 @@ std::string last_ident(const std::string& s) {
 // ---------------------------------------------------------------------------
 
 struct Call {
-  std::string name;       // base identifier ("roundtrip")
-  std::string qualifier;  // "HttpClient" in HttpClient::roundtrip, "" else
+  std::string name;       // base identifier ("exchange")
+  std::string qualifier;  // "fed" in fed::exchange, "" else
+  bool member = false;    // called through '.' or '->'
   std::size_t line;       // 1-based
   std::string args;       // argument text, parens stripped
 };
@@ -649,6 +652,13 @@ class Analyzer {
         Call call;
         call.name = tok;
         call.line = fn.body_first_line + li;
+        std::size_t before = b;
+        while (before > 0 &&
+               std::isspace(static_cast<unsigned char>(line[before - 1])) != 0)
+          --before;
+        call.member = before > 0 && (line[before - 1] == '.' ||
+                                     (before > 1 && line[before - 1] == '>' &&
+                                      line[before - 2] == '-'));
         if (b >= 2 && line.compare(b - 2, 2, "::") == 0) {
           std::size_t qe = b - 2;
           std::size_t qb = qe;
@@ -941,7 +951,7 @@ class Analyzer {
             continue;
           const std::string& pname = fn.params[pi].name;
           for (const Call& c : fn.calls) {
-            if (is_sink(c.name)) {
+            if (is_sink(c)) {
               if (word_in(c.args, pname) && !has_cleanser(c.args)) {
                 fn.leaky_params.insert(pi);
                 fn.leak_via[pi] = fn.name + " -> " + c.name + "() at " +
@@ -979,7 +989,7 @@ class Analyzer {
         if (has_cleanser(c.args)) continue;
         const std::string hit = first_tainted_in(fn, c.args);
         if (hit.empty()) continue;
-        if (is_sink(c.name)) {
+        if (is_sink(c)) {
           report_allowable(
               "taint", fn.file, c.line,
               "record data reaches sink " + c.name + "() uncleansed; " +
@@ -1003,9 +1013,18 @@ class Analyzer {
     }
   }
 
-  static bool is_sink(const std::string& name) {
-    return std::find(kSinkCalls.begin(), kSinkCalls.end(), name) !=
-           kSinkCalls.end();
+  static bool is_sink(const Call& call) {
+    for (const std::string& sink : kSinkCalls) {
+      const std::size_t scope = sink.rfind("::");
+      if (scope == std::string::npos) {
+        if (call.name == sink) return true;
+        continue;
+      }
+      if (call.name == sink.substr(scope + 2) && !call.member &&
+          (call.qualifier.empty() || call.qualifier == sink.substr(0, scope)))
+        return true;
+    }
+    return false;
   }
 
   std::string first_tainted_in(const Function& fn,
